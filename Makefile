@@ -30,14 +30,11 @@ race:
 
 check: build vet test race
 
-# Interpreter engine benchmarks. Results are appended as JSON lines to
-# BENCH_interp.json (one object per benchmark per run, UTC-timestamped)
-# so engine regressions are comparable across commits. The compiled-tier
-# subset is additionally appended to BENCH_compiled.json, which CI gates
-# separately with cmd/benchdiff so superinstruction regressions can't
-# hide inside the full-matrix file.
+# Interpreter engine benchmarks (legacy and compiled rows). Results are
+# appended as JSON lines to BENCH_interp.json (one object per benchmark
+# per run, UTC-timestamped) so engine regressions are comparable across
+# commits.
 BENCH_JSON ?= BENCH_interp.json
-BENCH_COMPILED_JSON ?= BENCH_compiled.json
 
 # Static-analysis benchmarks: triage cost, masked-site accounting, and
 # campaign wall-clock with pruning on/off, appended to BENCH_analysis.json
@@ -81,11 +78,10 @@ BENCH_COUNT ?= 1
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 	$(GO) test -bench . -benchtime 200ms -count $(BENCH_COUNT) -run '^$$' ./internal/interp | tee /dev/stderr | \
-	awk -v ts="$$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v compiled=$(BENCH_COMPILED_JSON) '/^Benchmark/ { \
+	awk -v ts="$$(date -u +%Y-%m-%dT%H:%M:%SZ)" '/^Benchmark/ { \
 		rec = sprintf("{\"ts\":\"%s\",\"name\":\"%s\",\"iters\":%s,\"ns_per_op\":%s", ts, $$1, $$2, $$3); \
 		if ($$6 == "ns/instr") rec = rec sprintf(",\"ns_per_instr\":%s", $$5); \
-		rec = rec "}"; print rec; \
-		if ($$1 ~ /\/compiled/) print rec >> compiled }' >> $(BENCH_JSON)
+		rec = rec "}"; print rec }' >> $(BENCH_JSON)
 	$(GO) test -bench 'Triage|VerifySSA' -benchtime 100ms -count $(BENCH_COUNT) -run '^$$' \
 		./internal/analysis ./internal/fault | tee /dev/stderr | \
 	awk -v ts="$$(date -u +%Y-%m-%dT%H:%M:%SZ)" '/^Benchmark/ { \

@@ -35,7 +35,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/benchprog"
 	"repro/internal/harness"
-	"repro/internal/interp"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 )
@@ -49,7 +48,6 @@ func main() {
 		seed     = flag.Int64("seed", 2022, "experiment seed")
 		workers  = flag.Int("workers", 0, "FI worker count (0 = GOMAXPROCS)")
 		metrics  = flag.Bool("metrics", false, "report per-phase campaign metrics and cache stats")
-		engine   = flag.String("engine", "image", "execution engine: image, compiled, legacy, or auto")
 		model    = flag.String("fault-model", "", "fault model to inject (bitflip, bitflip2, byteflip, stuckat0, stuckat1, defect; empty = bitflip)")
 		detector = flag.String("detector", "", "detector portfolio (dup, inv, cfgsig, comma lists, or all; empty = dup)")
 		outDir   = flag.String("out", "results", "directory for per-experiment JSON reports (empty disables)")
@@ -59,13 +57,6 @@ func main() {
 		manifest = flag.String("manifest", "", "write a run manifest (span tree + metrics registry) to this path")
 	)
 	flag.Parse()
-
-	if eng, err := interp.ParseEngine(*engine); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(2)
-	} else if eng != interp.EngineAuto {
-		interp.DefaultEngine = eng
-	}
 
 	profile := "quick"
 	if *medium {

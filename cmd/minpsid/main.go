@@ -36,7 +36,6 @@ func main() {
 		list     = flag.Bool("list", false, "list available benchmarks and exit")
 		metrics  = flag.Bool("metrics", false, "report per-phase campaign metrics and cache stats")
 		jsonOut  = flag.String("json", "", "write a machine-readable metrics report to this file")
-		engine   = flag.String("engine", "image", "execution engine: image, compiled, legacy, or auto")
 		analyze  = flag.Bool("analyze", false, "print the static SDC-masking triage report for -bench and exit")
 		incr     = flag.Bool("incremental", false, "key fault-injection artifacts per program section (sectional campaigns); defaults off and reproduces the paper byte-for-byte")
 		cacheDir = flag.String("cache-dir", "", "persist task artifacts under this directory for resumable (and incremental) reruns")
@@ -44,13 +43,6 @@ func main() {
 		manifest = flag.String("manifest", "", "write a run manifest (span tree + metrics registry) to this path")
 	)
 	flag.Parse()
-
-	if eng, err := interp.ParseEngine(*engine); err != nil {
-		fmt.Fprintln(os.Stderr, "minpsid:", err)
-		os.Exit(2)
-	} else if eng != interp.EngineAuto {
-		interp.DefaultEngine = eng
-	}
 
 	if *list {
 		for _, n := range core.BenchmarkNames() {

@@ -53,17 +53,12 @@ func main() {
 		metrics   = flag.Bool("metrics", false, "report campaign metrics (outcome histogram, wall/busy time, workers)")
 		incr      = flag.Bool("incremental", false, "run the campaign sectionally: per-section trial apportionment and RNG sub-streams, with a per-section breakdown")
 		jsonOut   = flag.String("json", "", "write a machine-readable metrics report to this file")
-		engine    = flag.String("engine", "image", "execution engine: image, compiled, legacy, or auto")
 		traceOut  = flag.String("trace", "", "write a Chrome trace_event file (Perfetto-loadable) to this path")
 		manifest  = flag.String("manifest", "", "write a run manifest (span tree + metrics registry) to this path")
 		resultOut = flag.String("result-out", "", "write the canonical campaign result document to this path (requires -incremental; byte-comparable to a server job result)")
 	)
 	flag.Parse()
 
-	if err := setEngine(*engine); err != nil {
-		fmt.Fprintln(os.Stderr, "sdcfi:", err)
-		os.Exit(2)
-	}
 	o := options{
 		bench: *bench, n: *n, input: *input, inputSeed: *inputSeed, seed: *seed,
 		model: *model, detector: *detector, level: *level,
@@ -77,8 +72,7 @@ func main() {
 	}
 }
 
-// options is the flag surface of one invocation (minus the engine, which
-// is process-global).
+// options is the flag surface of one invocation.
 type options struct {
 	bench     string
 	n         int
@@ -99,18 +93,6 @@ type options struct {
 	// after an incremental campaign — the direct-path half of the CI
 	// client/server bit-identity check.
 	resultOut string
-}
-
-// setEngine applies the -engine flag to the process-wide default.
-func setEngine(s string) error {
-	eng, err := interp.ParseEngine(s)
-	if err != nil {
-		return err
-	}
-	if eng != interp.EngineAuto {
-		interp.DefaultEngine = eng
-	}
-	return nil
 }
 
 func run(o options) error {

@@ -5,14 +5,24 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"repro/internal/server"
 )
+
+// shutdownGrace bounds a graceful shutdown: first the HTTP server's
+// drain, then the scheduler's wait for running jobs to park. Whatever
+// is still running when it expires stays resumable from the store, as
+// after a SIGKILL.
+const shutdownGrace = 30 * time.Second
 
 // dispatch routes a subcommand invocation; it returns false when args
 // do not start with a known subcommand (legacy flag path).
@@ -49,15 +59,11 @@ func cmdServe(args []string) int {
 		maxActive    = fs.Int("max-active", 0, "concurrently running jobs (0 = 2)")
 		maxQueue     = fs.Int("max-queue", 0, "admission queue bound (0 = 16)")
 		tenantMax    = fs.Int("tenant-max", 0, "per-tenant queued+running bound (0 = max-queue)")
-		engine       = fs.String("engine", "image", "execution engine: image, compiled, legacy, or auto")
 		preemptAfter = fs.Int("preempt-after", 0, "crash-test hook: park every job after this many committed shards (0 = off)")
 	)
 	fs.Parse(args)
 	if *store == "" {
 		return fail(fmt.Errorf("serve: -store is required"))
-	}
-	if err := setEngine(*engine); err != nil {
-		return fail(err)
 	}
 	srv, err := server.New(server.Options{
 		StoreDir:     *store,
@@ -70,18 +76,37 @@ func cmdServe(args []string) int {
 	if err != nil {
 		return fail(err)
 	}
-	fmt.Printf("sdcfi serve: listening on %s, store %s\n", *addr, *store)
+	// SIGINT/SIGTERM cancel ctx. Request contexts derive from it, so
+	// open SSE streams end and the HTTP drain is not held up by them.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	hs := &http.Server{
-		Addr:    *addr,
-		Handler: srv.Handler(),
+		Addr:        *addr,
+		Handler:     srv.Handler(),
+		BaseContext: func(net.Listener) context.Context { return ctx },
 		// Bound how long a client may dribble headers or a request body
 		// at the multi-tenant service. WriteTimeout stays off: the SSE
 		// events endpoint streams for the life of a job.
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       30 * time.Second,
 	}
-	if err := hs.ListenAndServe(); err != nil {
+	fmt.Printf("sdcfi serve: listening on %s, store %s\n", *addr, *store)
+	served := make(chan error, 1)
+	go func() { served <- hs.ListenAndServe() }()
+	select {
+	case err := <-served:
 		return fail(err)
+	case <-ctx.Done():
+	}
+	stop()
+	fmt.Println("sdcfi serve: shutting down")
+	sctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	if err := hs.Shutdown(sctx); err != nil {
+		fmt.Fprintln(os.Stderr, "sdcfi serve: http drain:", err)
+	}
+	if err := srv.Close(sctx); err != nil {
+		return fail(fmt.Errorf("serve: jobs still running at shutdown (resumable from the store): %w", err))
 	}
 	return 0
 }

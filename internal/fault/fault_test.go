@@ -459,7 +459,7 @@ func TestTrueCoverageCacheInvariance(t *testing.T) {
 
 // TestFaultSiteMappingThroughFusedOps arms a fault at every injectable
 // static instruction of the test kernel and classifies the outcome under
-// all three engines. The compiled tier fuses this kernel's loop bodies
+// both engines. The compiled engine fuses this kernel's loop bodies
 // into superinstructions, so sites that land inside a fused run (or on
 // the cmp half of a fused cmp+br) must still map to the same dynamic
 // instance, flip the same bit, and yield the same outcome as the unfused
@@ -471,7 +471,7 @@ func TestFaultSiteMappingThroughFusedOps(t *testing.T) {
 		t.Fatalf("test kernel compiled without any fused runs: %+v", c.Stats())
 	}
 	s := NewSampler(m, g, false)
-	engines := []interp.Engine{interp.EngineLegacy, interp.EngineImage, interp.EngineCompiled}
+	engines := []interp.Engine{interp.EngineLegacy, interp.EngineCompiled}
 	rng := rand.New(rand.NewSource(99))
 	sites := 0
 	for _, in := range m.Instrs {
@@ -483,8 +483,8 @@ func TestFaultSiteMappingThroughFusedOps(t *testing.T) {
 			continue // never executed on this input
 		}
 		sites++
-		var out [3]Outcome
-		var res [3]interp.Result
+		var out [2]Outcome
+		var res [2]interp.Result
 		for i, eng := range engines {
 			cfg := faultyConfig(interp.Config{}, g)
 			cfg.Engine = eng

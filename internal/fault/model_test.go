@@ -62,7 +62,7 @@ func TestModelPerturbDeterminism(t *testing.T) {
 
 // Patterns must be deterministic across calls, stay inside the value
 // width, honor max, and be pairwise distinct — the differential suite
-// replays them through all three engines and dedup matters there.
+// replays them through both engines and dedup matters there.
 func TestModelPatternsDeterministic(t *testing.T) {
 	for _, m := range Models() {
 		for _, width := range []uint{1, 8, 64} {

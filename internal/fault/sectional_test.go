@@ -82,7 +82,7 @@ func sectionalSetup(t testing.TB, name string) (*ir.Module, interp.Binding, inte
 // the ordinary whole-program batch runner, must yield bit-identical
 // outcomes — so sectional grouping, triage pruning, and merging cannot
 // change any classification. Checked per benchmark, and for one
-// benchmark across all three engines and every registered fault model.
+// benchmark across both engines and every registered fault model.
 func TestSectionalCompositionOracle(t *testing.T) {
 	names := []string{"pathfinder", "kmeans", "bfs", "needle", "fft", "hpccg"}
 	if testing.Short() {
@@ -138,7 +138,7 @@ func TestSectionalCompositionOracle(t *testing.T) {
 			t.Skip("engine×model sweep skipped in -short")
 		}
 		m, bind, cfg, g := sectionalSetup(t, "kmeans")
-		engines := []interp.Engine{interp.EngineLegacy, interp.EngineImage, interp.EngineCompiled}
+		engines := []interp.Engine{interp.EngineLegacy, interp.EngineCompiled}
 		for _, model := range ModelNames() {
 			mod, _ := ModelByName(model)
 			var first []SectionProfile

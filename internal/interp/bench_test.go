@@ -7,11 +7,10 @@ import (
 	"repro/internal/interp"
 )
 
-// Microbenchmarks for the three specialized run loops, each under the
-// legacy reference stepper, the pre-decoded image engine, and the
-// compiled superinstruction engine. `make bench` runs these and appends
-// the results to BENCH_interp.json (and the compiled subset to
-// BENCH_compiled.json) so engine regressions are visible across commits.
+// Microbenchmarks for the three run modes (plain, profiled, fault-armed),
+// each under the legacy reference stepper and the compiled engine.
+// `make bench` runs these and appends the results to BENCH_interp.json so
+// engine regressions are visible across commits.
 
 func benchSetup(b *testing.B) (map[string]*interp.Runner, interp.Binding, *benchprog.Benchmark) {
 	b.Helper()
@@ -20,8 +19,8 @@ func benchSetup(b *testing.B) (map[string]*interp.Runner, interp.Binding, *bench
 		b.Fatal("hpccg benchmark missing")
 	}
 	m := bm.MustModule()
-	runners := make(map[string]*interp.Runner, 3)
-	for _, eng := range []interp.Engine{interp.EngineLegacy, interp.EngineImage, interp.EngineCompiled} {
+	runners := make(map[string]*interp.Runner, 2)
+	for _, eng := range []interp.Engine{interp.EngineLegacy, interp.EngineCompiled} {
 		cfg := bm.ExecConfig()
 		cfg.Engine = eng
 		runners[eng.String()] = interp.NewRunner(m, cfg)
@@ -29,7 +28,7 @@ func benchSetup(b *testing.B) (map[string]*interp.Runner, interp.Binding, *bench
 	return runners, bm.Bind(bm.Reference), bm
 }
 
-var benchEngines = []string{"legacy", "image", "compiled"}
+var benchEngines = []string{"legacy", "compiled"}
 
 func BenchmarkRunPlain(b *testing.B) {
 	runners, bind, bm := benchSetup(b)
@@ -81,8 +80,9 @@ func benchRunBound(b *testing.B, r *interp.Runner, bind interp.Binding, f *inter
 	}
 }
 
-// BenchmarkLower measures the one-time decode cost of the image engine
-// (amortized across runs by the package-level image cache in practice).
+// BenchmarkLower measures the one-time decode cost of the compiled
+// engine's decoder (amortized across runs by the package-level
+// compiled-artifact cache in practice).
 func BenchmarkLower(b *testing.B) {
 	bm, ok := benchprog.ByName("hpccg")
 	if !ok {

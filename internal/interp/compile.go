@@ -7,12 +7,13 @@ import (
 	"repro/internal/ir"
 )
 
-// This file implements the compile step of the third execution tier: it
-// rewrites a decoded Image into superinstruction streams executed by the
-// direct-threaded dispatch loop in dispatch.go.
+// This file implements the compile step of the compiled engine, the
+// default execution engine: it rewrites a decoded Image (image.go) into
+// superinstruction streams executed by the direct-threaded dispatch loop
+// in dispatch.go.
 //
-// Three rewrites are performed, all pinned bit-identical to the image and
-// legacy engines by the three-way differential suite (diff_test.go):
+// Three rewrites are performed, all pinned bit-identical to the legacy
+// stepper by the legacy-vs-compiled differential suite (diff_test.go):
 //
 //   - run fusion: maximal straight-line sequences of value ops (runOp)
 //     collapse into one xRun word whose constituents live in a side
@@ -22,7 +23,7 @@ import (
 //     pre-check, which is where the campaign-loop speedup comes from.
 //   - cmp+br fusion: a comparison immediately feeding the block's
 //     conditional branch fuses into one xCmpBr word (generalizing the
-//     image's one-off xCmpEqDetect fusion, which is inherited verbatim).
+//     decoder's one-off xCmpEqDetect fusion, which is inherited verbatim).
 //   - known-bits specialization: ops whose results internal/analysis
 //     proves constant on fault-free runs become xConst pool moves — but
 //     only in a second code stream (cfunc.spec) selected when no fault is
@@ -31,9 +32,10 @@ import (
 //
 // Fusion changes dispatch granularity (n instructions per quantum step),
 // which is observable through the round-robin thread schedule, so — like
-// xCmpEqDetect — it is disabled for modules that spawn threads. Cycle
-// accounting, profile counters, hang-budget boundaries, trap points, and
-// fault-site numbering are preserved exactly in all streams.
+// xCmpEqDetect — it is disabled for modules that spawn threads: they run
+// the decoded image stream unfused, with only the specialization rewrite.
+// Cycle accounting, profile counters, hang-budget boundaries, trap points,
+// and fault-site numbering are preserved exactly in all streams.
 
 // CompilerVersion names the compile-step revision. It participates in the
 // compiled-artifact cache key exactly like the pipeline store's task-kind
@@ -64,12 +66,9 @@ type Compiled struct {
 	stats     FuseStats
 }
 
-// Image returns the source image the module was compiled from.
-func (c *Compiled) Image() *Image { return c.img }
-
 // Compile rewrites img into superinstruction form. A legacy-only image
-// compiles to an empty artifact; the Runner falls back to the reference
-// stepper exactly as the image engine does.
+// compiles to an empty artifact; the Runner then falls back to the
+// reference stepper.
 func Compile(img *Image) *Compiled {
 	c := &Compiled{img: img}
 	if img.legacyOnly {
@@ -382,8 +381,9 @@ func countOps(ws []iword, op xop) int {
 	return n
 }
 
-// compiledCacheCap bounds the compiled-artifact cache, mirroring the
-// decoded-image cache.
+// compiledCacheCap bounds the compiled-artifact cache. Artifacts are
+// shared by all Runners of a module (campaign workers, golden runs,
+// harness phases), so a modest cap covers every live module of a process.
 const compiledCacheCap = 128
 
 type compiledCacheKey struct {
@@ -399,10 +399,11 @@ var compCache = struct {
 }{m: make(map[compiledCacheKey]*Compiled)}
 
 // compiledOf returns the (process-wide, cached) compiled artifact of m.
-// The key is the module's content identity (pointer + finalize version,
-// as for images) plus CompilerVersion — the same shape as the pipeline
-// store's keys (content hash + task version), so a compiler revision
-// invalidates artifacts without invalidating images.
+// Decoding and compiling are deterministic, so concurrent callers share
+// the result. The key is the module's content identity (pointer +
+// finalize version, so a re-finalized module is recompiled instead of
+// served stale code) plus CompilerVersion — the same shape as the
+// pipeline store's keys (content hash + task version).
 func compiledOf(m *ir.Module) *Compiled {
 	key := compiledCacheKey{mod: m, version: m.Version(), compiler: CompilerVersion}
 	compCache.Lock()
@@ -410,7 +411,7 @@ func compiledOf(m *ir.Module) *Compiled {
 	if c, ok := compCache.m[key]; ok {
 		return c
 	}
-	c := Compile(imageOf(m))
+	c := Compile(Lower(m))
 	compCache.m[key] = c
 	compCache.order = append(compCache.order, key)
 	if len(compCache.order) > compiledCacheCap {

@@ -199,7 +199,7 @@ func TestCompiledKnownBitsFold(t *testing.T) {
 		}
 	}
 	want := int64(21 * 7)
-	for _, eng := range []Engine{EngineLegacy, EngineImage, EngineCompiled} {
+	for _, eng := range []Engine{EngineLegacy, EngineCompiled} {
 		r := NewRunner(m, Config{Engine: eng})
 		fres := r.Run(Binding{}, &Fault{InstrID: addID, DynIndex: 0, Bit: 4}, nil)
 		if fres.Status != StatusOK || int64(fres.Output[0]) != want {
@@ -212,7 +212,7 @@ func TestCompiledKnownBitsFold(t *testing.T) {
 // accounting of the fused cmp-eq+detect pair (and of fused runs and
 // cmp+br pairs) against the unfused legacy path: for every scheduling
 // quantum and for every dynamic-instruction budget — including budgets
-// that land exactly between the two halves of a fused pair — all three
+// that land exactly between the two halves of a fused pair — both
 // engines must agree on status, accounting, and output.
 func TestFusedCmpEqDetectQuantumAccounting(t *testing.T) {
 	m := detectLoopModule(4)
@@ -264,7 +264,7 @@ func TestDetectAccountingThreadCounts(t *testing.T) {
 // TestSetObsConcurrentFlip exercises the process-global obs hook's
 // concurrency contract (see obs.go): one goroutine flips SetObs between
 // two registries and detached while workers run fault-armed campaigns on
-// all three engines. Run under -race this catches torn publication; the
+// both engines. Run under -race this catches torn publication; the
 // assertions catch any run whose *result* is perturbed by the flip, and
 // the settling phase proves each run lands in exactly one registry.
 func TestSetObsConcurrentFlip(t *testing.T) {
@@ -302,7 +302,7 @@ func TestSetObsConcurrentFlip(t *testing.T) {
 		}
 	}()
 
-	engines := []Engine{EngineLegacy, EngineImage, EngineCompiled}
+	engines := []Engine{EngineLegacy, EngineCompiled}
 	const workers, runsPer = 4, 40
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -1,6 +1,7 @@
 package interp_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -8,16 +9,16 @@ import (
 	"repro/internal/fault"
 	"repro/internal/interp"
 	"repro/internal/ir"
+	"repro/internal/obs"
 	"repro/internal/sid"
 )
 
-// The differential suite pins the pre-decoded image engine AND the
-// compiled superinstruction engine to the legacy reference stepper: for
-// every benchmark program (and fault-injected and SID-protected variants)
-// all three engines must produce bit-identical results and dynamic
-// profiles. Any divergence in instruction accounting, phi semantics, trap
-// ordering, flip placement, fusion accounting, or known-bits
-// specialization shows up here.
+// The differential suite pins the compiled superinstruction engine to the
+// legacy reference stepper: for every benchmark program (and
+// fault-injected and SID-protected variants) both engines must produce
+// bit-identical results and dynamic profiles. Any divergence in
+// instruction accounting, phi semantics, trap ordering, flip placement,
+// fusion accounting, or known-bits specialization shows up here.
 
 func runEngine(t *testing.T, m *ir.Module, bind interp.Binding, cfg interp.Config,
 	f *interp.Fault, eng interp.Engine) (interp.Result, *interp.Profile) {
@@ -45,12 +46,12 @@ func eqInt64s(a, b []int64) bool {
 	return true
 }
 
-// diffEngines lists the oracle engine (legacy, first) and every engine
+// diffEngines lists the oracle engine (legacy, first) and the engine
 // pinned against it.
-var diffEngines = []interp.Engine{interp.EngineLegacy, interp.EngineImage, interp.EngineCompiled}
+var diffEngines = []interp.Engine{interp.EngineLegacy, interp.EngineCompiled}
 
-// diffRun executes (m, bind, f) under all three engines and fails the
-// test on any observable difference. It returns the legacy result.
+// diffRun executes (m, bind, f) under both engines and fails the test on
+// any observable difference. It returns the legacy result.
 func diffRun(t *testing.T, name string, m *ir.Module, bind interp.Binding,
 	cfg interp.Config, f *interp.Fault) interp.Result {
 	t.Helper()
@@ -108,7 +109,7 @@ func TestEngineDifferentialBenchprogs(t *testing.T) {
 			t.Parallel()
 			m := b.MustModule()
 			if interp.Lower(m).LegacyOnly() {
-				t.Fatalf("%s decodes legacy-only; image engine not exercised", b.Name)
+				t.Fatalf("%s decodes legacy-only; compiled engine not exercised", b.Name)
 			}
 			res := diffRun(t, b.Name, m, b.Bind(b.Reference), b.ExecConfig(), nil)
 			if res.Status != interp.StatusOK {
@@ -151,9 +152,11 @@ func TestEngineDifferentialFaults(t *testing.T) {
 	}
 }
 
-// Full duplication inserts the icmp-eq + detect pairs that the image engine
+// Full duplication inserts the icmp-eq + detect pairs that the decoder
 // fuses into a single opcode (in spawn-free modules); this pins the fused
 // path, including detection halts under injected faults, to the reference.
+// Full duplication of a module with phis decodes legacy-only, so the
+// phi-free variant is what reaches the compiled engine.
 func TestEngineDifferentialProtected(t *testing.T) {
 	nSites := 6
 	if testing.Short() {
@@ -163,32 +166,37 @@ func TestEngineDifferentialProtected(t *testing.T) {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
-			prot := sid.FullDuplication(b.MustModule())
 			bind := b.Bind(b.Reference)
-			res := diffRun(t, b.Name+"/dup", prot, bind, b.ExecConfig(), nil)
-			if res.Status != interp.StatusOK {
-				t.Fatalf("protected reference run not OK: %v (%s)", res.Status, res.Trap)
-			}
-			cfg := b.ExecConfig()
-			cfg.Engine = interp.EngineLegacy
-			g, err := fault.RunGolden(prot, bind, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := fault.NewSampler(prot, g, false)
-			rng := rand.New(rand.NewSource(7))
-			detected := false
-			for i := 0; i < nSites; i++ {
-				f, ok := s.RandomSite(rng)
-				if !ok {
-					t.Fatal("no injectable sites")
-				}
-				if diffRun(t, b.Name+"/dup", prot, bind, b.ExecConfig(), &f).Status == interp.StatusDetected {
-					detected = true
-				}
-			}
-			_ = detected // detection is input-dependent; identity is what's pinned
+			diffSites(t, b.Name+"/dup", sid.FullDuplication(b.MustModule()), bind, b.ExecConfig(), 7, nSites)
+			diffSites(t, b.Name+"/dup-nophi", phiFreeDuplication(b.MustModule()), bind, b.ExecConfig(), 7, nSites)
 		})
+	}
+}
+
+// diffSites pins m's reference run, which must complete, and nSites fault
+// sites drawn at seed from its legacy golden run.
+func diffSites(t *testing.T, name string, m *ir.Module, bind interp.Binding,
+	cfg interp.Config, seed int64, nSites int) {
+	t.Helper()
+	res := diffRun(t, name, m, bind, cfg, nil)
+	if res.Status != interp.StatusOK {
+		t.Fatalf("%s: reference run not OK: %v (%s)", name, res.Status, res.Trap)
+	}
+	gcfg := cfg
+	gcfg.Engine = interp.EngineLegacy
+	g, err := fault.RunGolden(m, bind, gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := fault.NewSampler(m, g, false)
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < nSites; i++ {
+		f, ok := s.RandomSite(rng)
+		if !ok {
+			t.Fatal("no injectable sites")
+		}
+		// Detection is input-dependent; identity is what's pinned.
+		diffRun(t, name, m, bind, cfg, &f)
 	}
 }
 
@@ -204,7 +212,7 @@ func TestCompiledFusionCoverage(t *testing.T) {
 		t.Fatal("benchmark lookup failed")
 	}
 	m := b.MustModule()
-	_, prof := runEngine(t, m, b.Bind(b.Reference), b.ExecConfig(), nil, interp.EngineImage)
+	_, prof := runEngine(t, m, b.Bind(b.Reference), b.ExecConfig(), nil, interp.EngineCompiled)
 
 	img := interp.Lower(m)
 	seqs := interp.MineSequences(img, prof, 8)
@@ -230,7 +238,7 @@ func TestCompiledFusionCoverage(t *testing.T) {
 }
 
 // A whole campaign table (benign/SDC/crash/hang/detected counts at a fixed
-// seed) must be identical under all three engines.
+// seed) must be identical under both engines.
 func TestEngineDifferentialCampaign(t *testing.T) {
 	trials := 40
 	if testing.Short() {
@@ -242,7 +250,7 @@ func TestEngineDifferentialCampaign(t *testing.T) {
 	}
 	m := b.MustModule()
 	bind := b.Bind(b.Reference)
-	var tables [3]fault.CampaignResult
+	tables := make([]fault.CampaignResult, len(diffEngines))
 	for i, eng := range diffEngines {
 		cfg := b.ExecConfig()
 		cfg.Engine = eng
@@ -258,4 +266,79 @@ func TestEngineDifferentialCampaign(t *testing.T) {
 			t.Fatalf("campaign tables diverge:\nlegacy: %+v\n%v: %+v", tables[0], diffEngines[i], tables[i])
 		}
 	}
+}
+
+// TestEngineDifferentialSpawning pins fft-mt, the one benchmark that
+// spawns threads. The compiled engine runs spawning modules unfused
+// (compile.go), so the fused suites above never reach that stream. The
+// reference run, seeded fault-armed sites and a SID-protected variant
+// are each pinned at every thread count of the benchmark's input space.
+func TestEngineDifferentialSpawning(t *testing.T) {
+	b, ok := benchprog.ByName("fft-mt")
+	if !ok {
+		t.Fatal("benchmark lookup failed")
+	}
+	nSites := 8
+	if testing.Short() {
+		nSites = 2
+	}
+	ref, prot := b.MustModule(), phiFreeDuplication(b.MustModule())
+	for _, m := range []*ir.Module{ref, prot} {
+		img := interp.Lower(m)
+		if img.LegacyOnly() {
+			t.Fatal("fft-mt decodes legacy-only; compiled engine not exercised")
+		}
+		if st := interp.Compile(img).Stats(); st.Words != st.ImageWords {
+			t.Fatalf("spawning module was fused: %+v", st)
+		}
+	}
+	for _, threads := range []int64{1, 2, 4} {
+		in := b.Reference
+		in.I = append([]int64(nil), in.I...)
+		in.I[1] = threads
+		bind := b.Bind(in)
+		name := fmt.Sprintf("%s/threads=%d", b.Name, threads)
+		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
+			t.Parallel()
+			diffSites(t, name, ref, bind, b.ExecConfig(), 42, nSites)
+			diffSites(t, name+"/dup", prot, bind, b.ExecConfig(), 7, nSites)
+		})
+	}
+}
+
+// TestDefaultEngineIsCompiled pins the production default: a Config{}
+// run of every benchmark, the spawning one included, executes on the
+// compiled engine and never falls back to the legacy stepper.
+func TestDefaultEngineIsCompiled(t *testing.T) {
+	reg := obs.NewRegistry()
+	interp.SetObs(reg)
+	defer interp.SetObs(nil)
+	all := benchprog.All()
+	for _, b := range all {
+		res := interp.NewRunner(b.MustModule(), interp.Config{}).Run(b.Bind(b.Reference), nil, nil)
+		if res.Status != interp.StatusOK {
+			t.Fatalf("%s: reference run not OK: %v (%s)", b.Name, res.Status, res.Trap)
+		}
+	}
+	if n := reg.Counter("interp.runs.compiled").Value(); n != int64(len(all)) {
+		t.Errorf("interp.runs.compiled = %d, want %d (one per benchmark)", n, len(all))
+	}
+	if n := reg.Counter("interp.runs.legacy").Value(); n != 0 {
+		t.Errorf("interp.runs.legacy = %d, want 0", n)
+	}
+}
+
+// phiFreeDuplication protects every duplicable instruction except phis.
+// Duplicate places a phi's copy right after it, in the middle of the
+// block, which the decoder cannot lower; FullDuplication of a module with
+// phis therefore runs on the legacy stepper alone, and this variant is
+// the one that pins protected code on the compiled engine.
+func phiFreeDuplication(m *ir.Module) *ir.Module {
+	var chosen []int
+	for _, in := range m.Instrs {
+		if in.Op != ir.OpPhi && sid.Duplicable(in) {
+			chosen = append(chosen, in.ID)
+		}
+	}
+	return sid.Duplicate(m, chosen)
 }

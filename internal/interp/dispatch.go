@@ -2,13 +2,14 @@ package interp
 
 import "math"
 
-// This file is the execution half of the compiled tier: a direct-threaded
-// dispatch loop over per-opcode handler tables of func values, indexed by
-// the iword's opcode, so fused superinstructions and plain image ops share
-// one dispatch mechanism. One handler table serves all run modes: profile
-// updates are guarded by a nil check and fault checks compare against
-// faultID, which run() pins to -1 when no fault is armed, so an unarmed
-// run never matches any static instruction ID.
+// This file is the execution half of the compiled engine: a
+// direct-threaded dispatch loop over per-opcode handler tables of func
+// values, indexed by the iword's opcode, so fused superinstructions and
+// plain decoded ops share one dispatch mechanism. One handler table
+// serves all run modes: profile updates are guarded by a nil check and
+// fault checks compare against faultID, which run() pins to -1 when no
+// fault is armed, so an unarmed run never matches any static instruction
+// ID.
 //
 // The observable step order of the reference stepper is preserved per
 // instruction: account (nDyn, cycles, profile) → hang check → execute →
@@ -34,7 +35,7 @@ type chandler func(r *Runner, t *thread, fr *frame, in *iword) bool
 var cHandlers [256]chandler
 
 // quantumCompiled executes up to q dispatch steps on t. Fused words count
-// as one dispatch step (like the image engine's xCmpEqDetect); fusion is
+// as one dispatch step (like the decoder's fused xCmpEqDetect); fusion is
 // disabled for spawning modules, where step granularity is observable.
 func (r *Runner) quantumCompiled(t *thread, q int) {
 	if t.done || t.joining || r.halted {
@@ -64,8 +65,6 @@ func (r *Runner) pushCFrame(t *thread, cfn *cfunc, args []uint64, retDst int, ca
 		code, cruns = cfn.spec, cfn.runsSpec
 	}
 	*fr = frame{
-		ifn:       cfn.ifn,
-		cfn:       cfn,
 		code:      code,
 		cruns:     cruns,
 		regs:      regs,
@@ -124,9 +123,35 @@ func (r *Runner) wr(fr *frame, in *iword, res uint64) {
 	fr.pc++
 }
 
-// takeEdgeC transfers control along edge e in the compiled engine,
-// mirroring takeEdgeFault with profile and fault both guarded. Returns
-// the continue bit for the dispatch loop.
+// flipSlot applies the armed fault to regs[dst] if this dynamic execution
+// of the target instruction is the injection point, and advances the
+// dynamic-occurrence counter either way (mirroring Runner.flip). Callers
+// have already matched the static instruction ID against faultID.
+func (r *Runner) flipSlot(regs []uint64, dst int32, tbits uint8) {
+	if r.faultSeen == r.fault.DynIndex {
+		mask := r.fault.Mask
+		if tbits == 1 {
+			mask &= 1
+		}
+		switch {
+		case r.fault.Op == FaultStuckAt0:
+			regs[dst] &^= mask
+		case r.fault.Op == FaultStuckAt1:
+			regs[dst] |= mask
+		case r.fault.Mask != 0:
+			regs[dst] ^= mask
+		default:
+			bit := r.fault.Bit % uint(tbits)
+			regs[dst] ^= 1 << bit
+		}
+	}
+	r.faultSeen++
+}
+
+// takeEdgeC transfers control along edge e in the order of the reference
+// stepper: block and edge counters (before any phi work, including a
+// missing-predecessor trap), then the edge's phi moves, with profile and
+// fault both guarded. Returns the continue bit for the dispatch loop.
 func (r *Runner) takeEdgeC(fr *frame, e int32) bool {
 	if e < 0 {
 		r.haltTrap("branch to invalid block")
@@ -741,7 +766,7 @@ func hCmpBr(r *Runner, t *thread, fr *frame, in *iword) bool {
 }
 
 // hCmpEqDetect executes the fused duplication check inherited from the
-// image, with profile and fault guards for the shared handler table.
+// decoder, with profile and fault guards for the shared handler table.
 func hCmpEqDetect(r *Runner, t *thread, fr *frame, in *iword) bool {
 	if !r.acct(in) {
 		return false
@@ -768,6 +793,15 @@ func hCmpEqDetect(r *Runner, t *thread, fr *frame, in *iword) bool {
 	}
 	fr.pc++
 	return true
+}
+
+// callIDOf returns the static ID a frame must remember for return-value
+// fault injection: the call's ID when it produces a result, else -1.
+func callIDOf(in *iword) int32 {
+	if in.c != 0 {
+		return in.id
+	}
+	return -1
 }
 
 func hCall(r *Runner, t *thread, fr *frame, in *iword) bool {

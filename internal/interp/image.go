@@ -3,15 +3,15 @@ package interp
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/ir"
 )
 
-// This file implements the lowering layer of the execution engine: it
-// decodes an ir.Module once into a flat, dense program image that the
-// specialized run loops in engine.go execute without any per-step operand
-// kind switches, map hashing, or feature checks.
+// This file implements the decoder of the compiled engine: it lowers an
+// ir.Module once into a flat, dense program image, which the compile step
+// (compile.go) rewrites into the code streams the dispatch loop
+// (dispatch.go) executes without any per-step operand kind switches, map
+// hashing, or feature checks.
 //
 // The lowering performs:
 //   - operand specialization: every operand becomes an index into the
@@ -29,12 +29,13 @@ import (
 //   - static precomputation: instruction IDs, modeled cycles, flip widths,
 //     and the dense CSR edge numbering are all baked into the image.
 //
-// Decoding never changes semantics: the image engine is bit-identical to
-// the reference stepper in interp.go (enforced by the differential tests),
-// including trap messages, dynamic instruction accounting, hang-budget
-// boundaries, fault-injection site numbering, and — because a lone leading
-// phi occupies its own interpreter step in the reference engine — the
-// round-robin thread schedule.
+// Decoding never changes semantics: executed as decoded (the form the
+// compiled engine runs for spawning modules), the image is bit-identical
+// to the reference stepper in interp.go (enforced by the differential
+// tests), including trap messages, dynamic instruction accounting,
+// hang-budget boundaries, fault-injection site numbering, and — because a
+// lone leading phi occupies its own interpreter step in the reference
+// engine — the round-robin thread schedule.
 
 // xop is a specialized image opcode.
 type xop uint8
@@ -170,13 +171,12 @@ type edgeProg struct {
 type ifunc struct {
 	fn          *ir.Function
 	code        []iword
-	consts      []uint64 // constant pool, loaded into slots [nRegs, nSlots)
+	consts      []uint64 // constant pool, loaded into the slots after nRegs
 	nRegs       int
-	nSlots      int
 	entryBlock  int32 // global block index of block 0
 	entryPhiSrc int32 // lone entry phi: incoming slot for predecessor 0 (-1: none)
 
-	// Block layout, recorded for the compile tier (compile.go): block bi's
+	// Block layout, recorded for the compile step (compile.go): block bi's
 	// words occupy code[blockOff[bi]:blockOff[bi+1]] (len nBlocks+1), and
 	// edgeEntry[bi] is the offset where a branch edge resumes in bi (after
 	// an entry-block phi group, at a lone leading phi otherwise).
@@ -203,9 +203,6 @@ type Image struct {
 	// which defines the semantics of such modules.
 	legacyOnly bool
 }
-
-// Edges returns the image's static CFG edge table.
-func (img *Image) Edges() *EdgeIndex { return img.edges }
 
 // LegacyOnly reports whether the decoder bailed out and execution will use
 // the reference stepper.
@@ -407,7 +404,6 @@ func (img *Image) decodeFunc(f *ir.Function) *ifunc {
 		}
 	}
 
-	ifn.nSlots = f.NumRegs + len(ifn.consts)
 	return ifn
 }
 
@@ -423,9 +419,10 @@ func (img *Image) emitInstr(ifn *ifunc, f *ir.Function, bi int, in *ir.Instr,
 		ex0:   -1, ex1: -1,
 	}
 
-	// Value-producing opcodes write regs[dst] unconditionally in the run
-	// loops, so a missing destination register (malformed IR the reference
-	// stepper tolerates by discarding the result) forces the fallback.
+	// Value-producing opcodes write regs[dst] unconditionally in the
+	// dispatch handlers, so a missing destination register (malformed IR
+	// the reference stepper tolerates by discarding the result) forces the
+	// fallback.
 	bin := func(op xop) {
 		if in.Dst < 0 {
 			img.legacyOnly = true
@@ -630,42 +627,4 @@ func prevInBlock(f *ir.Function, bi int, in *ir.Instr) *ir.Instr {
 		}
 	}
 	return nil
-}
-
-// imageCacheCap bounds the decoded-image cache. Images are shared by all
-// Runners of a module (campaign workers, golden runs, harness phases), so
-// a modest cap covers every live module of a process.
-const imageCacheCap = 128
-
-var imgCache = struct {
-	sync.Mutex
-	m     map[imageCacheKey]*Image
-	order []imageCacheKey // FIFO eviction order
-}{m: make(map[imageCacheKey]*Image)}
-
-type imageCacheKey struct {
-	mod     *ir.Module
-	version uint64
-}
-
-// imageOf returns the (process-wide, cached) decoded image of m. Decoding
-// is deterministic, so concurrent callers share the result; the cache is
-// keyed by (module pointer, finalize version) so a re-finalized module is
-// re-lowered instead of served stale code.
-func imageOf(m *ir.Module) *Image {
-	key := imageCacheKey{mod: m, version: m.Version()}
-	imgCache.Lock()
-	defer imgCache.Unlock()
-	if img, ok := imgCache.m[key]; ok {
-		return img
-	}
-	img := Lower(m)
-	imgCache.m[key] = img
-	imgCache.order = append(imgCache.order, key)
-	if len(imgCache.order) > imageCacheCap {
-		old := imgCache.order[0]
-		imgCache.order = imgCache.order[1:]
-		delete(imgCache.m, old)
-	}
-	return img
 }

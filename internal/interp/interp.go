@@ -99,45 +99,25 @@ type Engine uint8
 const (
 	// EngineAuto resolves to the package-level DefaultEngine.
 	EngineAuto Engine = iota
-	// EngineImage executes a pre-decoded program image with specialized
-	// run loops (see image.go / engine.go). This is the production engine.
-	EngineImage
 	// EngineLegacy executes the reference tree-walking stepper below. It
-	// defines the semantics; the image engine is differentially tested
+	// defines the semantics; the compiled engine is differentially tested
 	// against it.
 	EngineLegacy
-	// EngineCompiled executes a compiled rewrite of the program image:
-	// superinstruction fusion plus direct-threaded handler-table dispatch
-	// (see compile.go / dispatch.go). Bit-identical to the other engines;
-	// pinned by the three-way differential suite.
+	// EngineCompiled executes the compiled form of the decoded program
+	// image: superinstruction fusion plus direct-threaded handler-table
+	// dispatch (see image.go, compile.go and dispatch.go). This is the
+	// production engine, bit-identical to the legacy stepper and pinned
+	// by the legacy-vs-compiled differential suite.
 	EngineCompiled
 )
 
 // DefaultEngine is the engine used when Config.Engine is EngineAuto.
-// CLIs expose it via the -engine flag.
-var DefaultEngine = EngineImage
+// Tests swap it to run whole pipelines on the legacy reference stepper.
+var DefaultEngine = EngineCompiled
 
-// ParseEngine parses an -engine flag value ("auto", "image", "legacy",
-// "compiled").
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "auto", "":
-		return EngineAuto, nil
-	case "image":
-		return EngineImage, nil
-	case "legacy":
-		return EngineLegacy, nil
-	case "compiled":
-		return EngineCompiled, nil
-	}
-	return EngineAuto, fmt.Errorf("unknown engine %q (want auto, image, legacy, or compiled)", s)
-}
-
-// String returns the flag spelling of e.
+// String returns the engine's name.
 func (e Engine) String() string {
 	switch e {
-	case EngineImage:
-		return "image"
 	case EngineLegacy:
 		return "legacy"
 	case EngineCompiled:
@@ -267,8 +247,8 @@ func NewProfile(m *ir.Module) *Profile {
 }
 
 // addEdge counts one execution of the edge (from, to) in global block
-// indices. The legacy stepper calls this on every branch; the image engine
-// increments EdgeHits directly by precomputed edge number.
+// indices. The legacy stepper calls this on every branch; the compiled
+// engine increments EdgeHits directly by precomputed edge number.
 func (p *Profile) addEdge(from, to int) {
 	if i := p.Edges.Lookup(from, to); i >= 0 {
 		p.EdgeHits[i]++
@@ -307,27 +287,25 @@ func (p *Profile) EdgeCountMap() map[[2]int]int64 {
 }
 
 // frame is one function activation. Both engines share the struct; the
-// legacy stepper uses fn/block/prevBlock, the image engine uses ifn and a
-// flat pc, plus precomputed return-flip metadata (callID/callTBits) so
-// doReturn needs no *ir.Instr.
+// legacy stepper uses fn/block/prevBlock, the compiled engine uses a code
+// stream and a flat pc, plus precomputed return-flip metadata
+// (callID/callTBits) so a return needs no *ir.Instr.
 type frame struct {
 	fn        *ir.Function
-	ifn       *ifunc // image engine: decoded function (nil under legacy)
 	regs      []uint64
 	block     int       // legacy: current block index within fn
 	prevBlock int       // legacy: predecessor block (for phi resolution)
-	pc        int       // legacy: index into block; image: offset into ifn.code
+	pc        int       // legacy: index into block; compiled: offset into code
 	spSave    int       // thread stack pointer at entry, restored at return
 	retDst    int       // caller register to receive the return value (-1: none)
 	callInstr *ir.Instr // the OpCall that created this frame (nil for entry/spawn)
-	callID    int32     // image: static ID of the creating call if it has a result, else -1
-	callTBits uint8     // image: flip width of the call's result type
-	phiSrc    int32     // image: incoming slot for a pending xLonePhi (-1: no match)
+	callID    int32     // compiled: static ID of the creating call if it has a result, else -1
+	callTBits uint8     // compiled: flip width of the call's result type
+	phiSrc    int32     // compiled: incoming slot for a pending xLonePhi (-1: no match)
 
-	// Compiled engine only: the compiled function, the run-mode code
-	// stream (exact under a fault, specialized otherwise), and the xRun
-	// constituent table matching that stream.
-	cfn   *cfunc
+	// Compiled engine only: the run-mode code stream (exact under a
+	// fault, specialized otherwise) and the xRun constituent table
+	// matching that stream.
 	code  []iword
 	cruns []iword
 }
@@ -362,7 +340,7 @@ type Runner struct {
 
 	fault     *Fault
 	faultSeen int64
-	faultID   int32 // fault.InstrID, pre-narrowed for the image loop
+	faultID   int32 // fault.InstrID, pre-narrowed for the dispatch loop
 
 	prof   *Profile
 	tracer *Tracer
@@ -371,14 +349,12 @@ type Runner struct {
 	trap   string
 	halted bool
 
-	// Image-engine state: the decoded program and per-run scratch buffers
-	// (call-argument staging, phi-group staging), sized once per image.
-	img        *Image
+	// Compiled-engine state: the compiled artifact and per-run scratch
+	// buffers (call-argument staging, phi-group staging), sized once per
+	// artifact.
+	comp       *Compiled
 	argScratch []uint64
 	phiVals    []uint64
-
-	// Compiled-engine state: the compiled artifact (shares r.img).
-	comp *Compiled
 
 	// threadPool retains thread structs (and through them frame slices and
 	// register files) across runs; threads[i] aliases threadPool[i].
@@ -412,8 +388,8 @@ func (r *Runner) RunScratch(bind Binding, fault *Fault, prof *Profile) Result {
 	return r.run(bind, fault, prof, false)
 }
 
-// resolveEngine picks the engine for the next run, decoding (or re-fetching
-// from the shared cache) the program image when needed. Tracing and
+// resolveEngine picks the engine for the next run, compiling (or
+// re-fetching from the shared cache) the module when needed. Tracing and
 // modules the decoder cannot lower always use the legacy stepper, which
 // defines the semantics.
 func (r *Runner) resolveEngine() Engine {
@@ -421,39 +397,25 @@ func (r *Runner) resolveEngine() Engine {
 	if e == EngineAuto {
 		e = DefaultEngine
 	}
-	if r.tracer != nil {
+	if r.tracer != nil || e == EngineLegacy {
 		return EngineLegacy
 	}
-	if e == EngineLegacy {
-		return e
-	}
-	if e == EngineCompiled {
-		if r.comp == nil || r.comp.img.version != r.mod.Version() {
-			r.comp = compiledOf(r.mod)
-			r.img = r.comp.img
-			r.sizeScratch()
-		}
-		if r.comp.img.legacyOnly {
-			return EngineLegacy
-		}
-		return EngineCompiled
-	}
-	if r.img == nil || r.img.version != r.mod.Version() {
-		r.img = imageOf(r.mod)
+	if r.comp == nil || r.comp.img.version != r.mod.Version() {
+		r.comp = compiledOf(r.mod)
 		r.sizeScratch()
 	}
-	if r.img.legacyOnly {
+	if r.comp.img.legacyOnly {
 		return EngineLegacy
 	}
-	return EngineImage
+	return EngineCompiled
 }
 
-// sizeScratch sizes the per-run staging buffers for the current image.
+// sizeScratch sizes the per-run staging buffers for the current artifact.
 func (r *Runner) sizeScratch() {
-	if n := r.img.maxArgs; cap(r.argScratch) < n {
+	if n := r.comp.img.maxArgs; cap(r.argScratch) < n {
 		r.argScratch = make([]uint64, n)
 	}
-	if n := r.img.maxPhi; cap(r.phiVals) < n {
+	if n := r.comp.img.maxPhi; cap(r.phiVals) < n {
 		r.phiVals = make([]uint64, n)
 	}
 }
@@ -480,35 +442,17 @@ func (r *Runner) run(bind Binding, fault *Fault, prof *Profile, copyOut bool) Re
 
 	entry := r.mod.Entry()
 	eng := r.resolveEngine()
-	switch eng {
-	case EngineLegacy:
-		main := r.mod.Funcs[entry]
-		t := r.newThread()
-		r.pushFrame(t, main, bind.Args, -1)
+	t := r.newThread()
+	if eng == EngineLegacy {
+		r.pushFrame(t, r.mod.Funcs[entry], bind.Args, -1)
 		r.schedule(r.runQuantum)
-	case EngineCompiled:
+	} else {
 		main := r.comp.funcs[entry]
-		t := r.newThread()
 		r.pushCFrame(t, main, bind.Args, -1, -1, 0)
 		if prof != nil {
 			prof.BlockCount[main.ifn.entryBlock]++
 		}
 		r.schedule(r.quantumCompiled)
-	default:
-		main := r.img.funcs[entry]
-		t := r.newThread()
-		r.pushIFrame(t, main, bind.Args, -1, -1, 0)
-		if prof != nil {
-			prof.BlockCount[main.entryBlock]++
-		}
-		switch {
-		case fault != nil:
-			r.schedule(r.quantumFault)
-		case prof != nil:
-			r.schedule(r.quantumProfiled)
-		default:
-			r.schedule(r.quantumPlain)
-		}
 	}
 
 	out := r.out
@@ -643,25 +587,6 @@ func (r *Runner) pushFrameFor(t *thread, fn *ir.Function, args []uint64, retDst 
 	}
 	t.callDepth++
 	r.noteBlockEntry(fn.Index, 0, -1)
-}
-
-// pushIFrame is the image engine's frame push: registers are cleared, the
-// arguments copied in, and the constant pool loaded above the registers.
-func (r *Runner) pushIFrame(t *thread, ifn *ifunc, args []uint64, retDst int, callID int32, callTBits uint8) {
-	fr := t.pushSlot()
-	regs := frameRegs(fr, ifn.nSlots)
-	copy(regs, args)
-	copy(regs[ifn.nRegs:], ifn.consts)
-	*fr = frame{
-		ifn:       ifn,
-		regs:      regs,
-		spSave:    t.sp,
-		retDst:    retDst,
-		callID:    callID,
-		callTBits: callTBits,
-		phiSrc:    ifn.entryPhiSrc,
-	}
-	t.callDepth++
 }
 
 // schedule runs all threads round-robin, quantum instructions at a time,

@@ -9,11 +9,11 @@ import (
 	"repro/internal/interp"
 )
 
-// The model differential suite extends the three-engine pinning to every
+// The model differential suite extends the engine pinning to every
 // registered fault model: sampled sites perturbed by each model, and each
 // model's deterministic pattern set replayed at a fixed site, must behave
-// bit-identically under the legacy, image, and compiled engines. This is
-// what lets a new model trust all three engines the day it registers.
+// bit-identically under the legacy and compiled engines. This is what
+// lets a new model trust both engines the day it registers.
 
 // modelDiffBenchmarks keeps the sweep affordable: the full model × engine
 // product on a couple of structurally different programs.
@@ -26,7 +26,7 @@ func modelDiffBenchmarks(t *testing.T) []*benchprog.Benchmark {
 }
 
 // TestEngineDifferentialModels draws random sites under every registered
-// model and pins all three engines to the legacy stepper for each.
+// model and pins the compiled engine to the legacy stepper for each.
 func TestEngineDifferentialModels(t *testing.T) {
 	nSites := 4
 	if testing.Short() {
@@ -65,7 +65,7 @@ func TestEngineDifferentialModels(t *testing.T) {
 
 // TestEngineDifferentialModelPatterns replays every enumerated effect of
 // every model at a fixed early site, so each (op, mask shape) the model
-// can emit crosses all three flip paths at least once — including shapes
+// can emit crosses both flip paths at least once — including shapes
 // a handful of random draws could miss (high stuck-at masks, shifted
 // defect lanes).
 func TestEngineDifferentialModelPatterns(t *testing.T) {

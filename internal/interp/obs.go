@@ -14,7 +14,6 @@ import (
 type runCounters struct {
 	runs         *obs.Counter
 	dynInstrs    *obs.Counter
-	runsImage    *obs.Counter
 	runsLegacy   *obs.Counter
 	runsCompiled *obs.Counter
 	profRuns     *obs.Counter
@@ -37,8 +36,8 @@ var obsCounters atomic.Pointer[runCounters]
 
 // SetObs points the interpreter's run accounting at reg (nil detaches).
 // Purely observational: execution results are bit-identical either way.
-// Safe for concurrent use with running interpreters; every engine tier
-// (legacy, image, compiled) consults the same hook.
+// Safe for concurrent use with running interpreters; both engines (legacy
+// and compiled) consult the same hook.
 func SetObs(reg *obs.Registry) {
 	if reg == nil {
 		obsCounters.Store(nil)
@@ -47,7 +46,6 @@ func SetObs(reg *obs.Registry) {
 	obsCounters.Store(&runCounters{
 		runs:         reg.Counter("interp.runs"),
 		dynInstrs:    reg.Counter("interp.dyn_instrs"),
-		runsImage:    reg.Counter("interp.runs.image"),
 		runsLegacy:   reg.Counter("interp.runs.legacy"),
 		runsCompiled: reg.Counter("interp.runs.compiled"),
 		profRuns:     reg.Counter("interp.profiled.runs"),
@@ -62,13 +60,10 @@ func SetObs(reg *obs.Registry) {
 func (rc *runCounters) recordRun(res *Result, eng Engine, prof *Profile, edgeBase int64) {
 	rc.runs.Inc()
 	rc.dynInstrs.Add(res.DynInstrs)
-	switch eng {
-	case EngineLegacy:
+	if eng == EngineLegacy {
 		rc.runsLegacy.Inc()
-	case EngineCompiled:
+	} else {
 		rc.runsCompiled.Inc()
-	default:
-		rc.runsImage.Inc()
 	}
 	if prof != nil {
 		rc.profRuns.Inc()

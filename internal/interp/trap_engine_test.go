@@ -8,12 +8,12 @@ import (
 	"repro/internal/ir"
 )
 
-// runBothEngines executes m under the legacy stepper, the image engine,
-// and the compiled engine with identical configuration and fails on any
-// observable divergence in status, trap message, accounting, or output.
+// runBothEngines executes m under the legacy stepper and the compiled
+// engine with identical configuration and fails on any observable
+// divergence in status, trap message, accounting, or output.
 func runBothEngines(t *testing.T, m *ir.Module, cfg Config, args []uint64) Result {
 	t.Helper()
-	engines := []Engine{EngineLegacy, EngineImage, EngineCompiled}
+	engines := []Engine{EngineLegacy, EngineCompiled}
 	l := Result{}
 	for i, eng := range engines {
 		c := cfg

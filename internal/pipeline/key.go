@@ -143,10 +143,10 @@ func BindingHash(bind interp.Binding) Key {
 
 // ExecHash returns the content hash of an execution config with defaults
 // normalized, so a zero config and an explicitly-defaulted one key
-// identically. The engine choice is deliberately excluded: all three
-// engines (legacy, image, compiled) are pinned bit-identical by the
-// three-way differential test suite, so artifacts are shared across
-// -engine values. Compiled-artifact caching is keyed separately inside
+// identically. The engine choice is deliberately excluded: the two
+// engines (legacy, compiled) are pinned bit-identical by the
+// legacy-vs-compiled differential test suite, so artifacts are shared
+// across engines. Compiled-artifact caching is keyed separately inside
 // internal/interp (module version + compiler version), never here.
 func ExecHash(cfg interp.Config) Key {
 	h := NewHasher("exec")

@@ -283,14 +283,14 @@ func TestWriteReportCreatesDirs(t *testing.T) {
 	}
 }
 
-// TestExecHashEngineInvariant pins the cache-sharing contract: the three
-// engines are bit-identical (three-way differential suite), so ExecHash
-// must not vary with cfg.Engine — campaign artifacts computed under one
-// engine must be hits under any other. Semantically meaningful limits
-// must still change the key.
+// TestExecHashEngineInvariant pins the cache-sharing contract: the two
+// engines are bit-identical (legacy-vs-compiled differential suite), so
+// ExecHash must not vary with cfg.Engine — campaign artifacts computed
+// under one engine must be hits under the other. Semantically meaningful
+// limits must still change the key.
 func TestExecHashEngineInvariant(t *testing.T) {
 	base := interp.Config{}
-	for _, eng := range []interp.Engine{interp.EngineLegacy, interp.EngineImage, interp.EngineCompiled} {
+	for _, eng := range []interp.Engine{interp.EngineLegacy, interp.EngineCompiled} {
 		cfg := base
 		cfg.Engine = eng
 		if ExecHash(cfg) != ExecHash(base) {

@@ -94,6 +94,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusTooManyRequests, "%s", rej.Reason)
 			return
 		}
+		if errors.Is(err, ErrClosed) {
+			writeError(w, http.StatusServiceUnavailable, "%v", err)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

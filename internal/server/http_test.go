@@ -19,6 +19,7 @@ func newTestServer(t *testing.T, opt Options) (*Server, *Client) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	closeAtCleanup(t, s)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, NewClient(ts.URL)

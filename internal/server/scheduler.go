@@ -1,6 +1,8 @@
 package server
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -49,9 +51,9 @@ type Options struct {
 	// Obs receives spans and counters (nil = a private instance).
 	Obs *obs.Obs
 	// holdJobs, when non-nil, blocks every runJob after its running
-	// transition until the channel closes — a test hook that pins jobs
-	// in the running state so admission and dedup behavior can be
-	// asserted without racing campaign completion.
+	// transition until the channel closes (or Close begins) — a test
+	// hook that pins jobs in the running state so admission and dedup
+	// behavior can be asserted without racing campaign completion.
 	holdJobs chan struct{}
 }
 
@@ -71,6 +73,9 @@ type Server struct {
 	active  int
 	tenants map[string]int
 	seq     int64
+
+	quit    chan struct{}  // closed when Close begins
+	running sync.WaitGroup // one count per live runJob goroutine
 }
 
 // New builds a server over the given store and resumes every
@@ -119,6 +124,7 @@ func New(opt Options) (*Server, error) {
 		// tenants counts each tenant's queued+running jobs; joiners of
 		// a deduped job are never charged.
 		tenants: make(map[string]int),
+		quit:    make(chan struct{}),
 	}
 	s.resume()
 	return s, nil
@@ -131,6 +137,9 @@ func (s *Server) Obs() *obs.Obs { return s.ob }
 // StoreStats returns the shard store traffic: disk hits are shards
 // served from committed artifacts, runs are shards actually executed.
 func (s *Server) StoreStats() pipeline.StoreStats { return s.pipe.Stats() }
+
+// ErrClosed is returned by Submit once Close has begun.
+var ErrClosed = errors.New("server: closed")
 
 // RejectError is an admission refusal: the cluster is saturated or
 // the tenant is over quota. RetryAfterSeconds is the backpressure
@@ -150,7 +159,8 @@ func (e *RejectError) Error() string {
 // running, or done — including results persisted by an earlier server
 // on the same store), so this submission costs nothing and is not
 // charged against the tenant's quota. Validation failures return a
-// plain error; admission refusals return *RejectError.
+// plain error; admission refusals return *RejectError; after Close
+// every submission returns ErrClosed.
 func (s *Server) Submit(spec JobSpec) (*Job, bool, error) {
 	r, err := resolve(spec)
 	if err != nil {
@@ -161,6 +171,9 @@ func (s *Server) Submit(spec JobSpec) (*Job, bool, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closing() {
+		return nil, false, ErrClosed
+	}
 	if j, ok := s.jobs[id]; ok {
 		j.mu.Lock()
 		state := j.state
@@ -240,21 +253,59 @@ func (s *Server) admitLocked(j *Job, tenant string) *RejectError {
 	return nil
 }
 
-// pumpLocked starts queued jobs while running slots are free (mu held).
-// The running transition happens HERE, under s.mu, before the job
-// goroutine exists: a Cancel arriving between dispatch and the first
-// instruction of runJob must observe StateRunning and take the
-// cooperative path, not the queued path (which would drain the tenant
-// charge a second time and race finishJob on the done channel).
+// pumpLocked starts queued jobs while running slots are free and the
+// server is not closing (mu held). The running transition happens
+// HERE, under s.mu, before the job goroutine exists: a Cancel arriving
+// between dispatch and the first instruction of runJob must observe
+// StateRunning and take the cooperative path, not the queued path
+// (which would drain the tenant charge a second time and race
+// finishJob on the done channel).
 func (s *Server) pumpLocked() {
-	for s.active < s.opt.MaxActive && len(s.queue) > 0 {
+	for !s.closing() && s.active < s.opt.MaxActive && len(s.queue) > 0 {
 		j := s.queue[0]
 		s.queue = s.queue[1:]
 		s.active++
 		j.mu.Lock()
 		j.state = StateRunning
 		j.mu.Unlock()
+		s.running.Add(1)
 		go s.runJob(j)
+	}
+}
+
+// Close shuts the scheduler down. It rejects new submissions, starts
+// no more queued jobs, and makes running jobs stop dispatching shards:
+// in-flight shards drain and commit, then each job parks through the
+// preemption path without a terminal record, so a server restarted on
+// the same store resumes it exactly as after a SIGKILL. Close returns
+// once every job goroutine has exited, or with ctx's error if ctx ends
+// first. It may be called more than once.
+func (s *Server) Close(ctx context.Context) error {
+	s.mu.Lock()
+	if !s.closing() {
+		close(s.quit)
+	}
+	s.mu.Unlock()
+	settled := make(chan struct{})
+	go func() {
+		s.running.Wait()
+		close(settled)
+	}()
+	select {
+	case <-settled:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// closing reports whether Close has begun.
+func (s *Server) closing() bool {
+	select {
+	case <-s.quit:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -326,13 +377,17 @@ func (s *Server) Get(id string) (*Job, bool) {
 // dispatch shards across the worker pool, compose, persist. The job is
 // already StateRunning — pumpLocked transitions it before spawning.
 func (s *Server) runJob(j *Job) {
+	defer s.running.Done()
 	s.persistRecord(j, StateRunning, "")
 	span := s.ob.Start("job:" + j.Key.Short())
 	j.mu.Lock()
 	j.span = span
 	j.mu.Unlock()
 	if s.opt.holdJobs != nil {
-		<-s.opt.holdJobs
+		select {
+		case <-s.opt.holdJobs:
+		case <-s.quit:
+		}
 	}
 
 	res, profiles, plans, err := s.runShards(j, span)
@@ -342,12 +397,17 @@ func (s *Server) runJob(j *Job) {
 		s.finishJob(j, StateFailed, err.Error(), nil, false)
 	case j.canceled():
 		s.finishJob(j, StateCanceled, "", nil, false)
-	case s.opt.PreemptAfter > 0 && len(profiles) < len(plans):
-		// The crash-test hook stopped dispatch mid-job. Park without a
-		// terminal record — on disk the job still reads "running", the
-		// state a SIGKILL leaves — so a restarted server resumes it.
+	case len(profiles) < len(plans):
+		// The crash-test hook or Close stopped dispatch mid-job. Park
+		// without a terminal record — on disk the job still reads
+		// "running", the state a SIGKILL leaves — so a restarted server
+		// resumes it.
+		why := "crash-test hook"
+		if s.closing() {
+			why = "server closed"
+		}
 		s.finishJob(j, StateFailed,
-			fmt.Sprintf("preempted after %d of %d shards (crash-test hook)", len(profiles), len(plans)),
+			fmt.Sprintf("preempted after %d of %d shards (%s)", len(profiles), len(plans), why),
 			nil, true)
 	default:
 		result := BuildResult(j.Spec.Bench, res.input, j.Spec.Seed, j.Spec.Model, res.res, profiles)
@@ -367,8 +427,8 @@ type composed struct {
 // runShards plans and executes a job's shards. It returns the
 // composed table, the profiles collected so far (all of them on
 // success, a prefix under preemption), and the full plan. Dispatch
-// stops at the first shard error, a cancel request, or an exhausted
-// preemption budget; in-flight shards always drain first.
+// stops at the first shard error, a cancel request, an exhausted
+// preemption budget, or Close; in-flight shards always drain first.
 func (s *Server) runShards(j *Job, span *obs.Span) (composed, []fault.SectionProfile, []fault.SectionTrialPlan, error) {
 	r, err := resolve(j.Spec)
 	if err != nil {
@@ -440,7 +500,7 @@ func (s *Server) runShards(j *Job, span *obs.Span) (composed, []fault.SectionPro
 		// this serializes shard boundaries, making the crash-test hook
 		// deterministic (exactly PreemptAfter shards commit).
 		gate <- struct{}{}
-		if j.canceled() || failed() ||
+		if j.canceled() || failed() || s.closing() ||
 			(s.opt.PreemptAfter > 0 && committed() >= s.opt.PreemptAfter) {
 			<-gate
 			break
@@ -484,19 +544,28 @@ func (s *Server) runShards(j *Job, span *obs.Span) (composed, []fault.SectionPro
 	return composed{res: res, input: r.prog.Spec.String(r.in)}, flat, plans, nil
 }
 
-// finishJob applies a terminal transition: releases the running slot
-// and tenant charge, persists the terminal record (unless parked by
-// the crash-test hook), and wakes every waiter. A job that is already
-// terminal is left untouched — finishing is single-shot, so two racing
-// paths can never double-release accounting or close done twice.
+// finishJob applies a terminal transition: persists the terminal
+// record (unless parked by the crash-test hook or Close), then releases
+// the running slot and tenant charge, publishes the state, and wakes
+// every waiter — so "done" is only observable once it is on disk, and a
+// second server on the same store never resumes a finished job. A job
+// that is already terminal is left untouched — finishing is
+// single-shot, so two racing paths can never double-release accounting
+// or close done twice. Every state transition holds s.mu, so the check
+// and the transition are atomic even though the write runs outside j.mu.
 func (s *Server) finishJob(j *Job, state, errMsg string, result *Result, park bool) {
 	s.mu.Lock()
 	j.mu.Lock()
-	if terminal(j.state) {
-		j.mu.Unlock()
+	finished := terminal(j.state)
+	j.mu.Unlock()
+	if finished {
 		s.mu.Unlock()
 		return
 	}
+	if !park {
+		s.persistRecord(j, state, errMsg)
+	}
+	j.mu.Lock()
 	if j.state == StateRunning {
 		// Queued cancels drained their tenant charge in Cancel already.
 		s.active--
@@ -509,9 +578,6 @@ func (s *Server) finishJob(j *Job, state, errMsg string, result *Result, park bo
 	}
 	close(j.done)
 	j.mu.Unlock()
-	if !park {
-		s.persistRecord(j, state, errMsg)
-	}
 	if state == StateCanceled {
 		s.ob.Counter("server.jobs.canceled").Inc()
 	}

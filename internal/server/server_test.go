@@ -2,9 +2,14 @@ package server
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/interp"
@@ -15,6 +20,27 @@ func waitDone(t *testing.T, j *Job) string {
 	t.Helper()
 	<-j.Done()
 	return j.State()
+}
+
+// closeAtCleanup closes s when the test ends. Registered after the
+// store's t.TempDir (cleanups run last-registered first), it runs while
+// the store still exists, and it asserts that every job goroutine has
+// settled, so none can still be writing when the directory is removed.
+func closeAtCleanup(t *testing.T, s *Server) {
+	t.Helper()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		if err := s.Close(ctx); err != nil {
+			t.Errorf("Close: job goroutines did not settle: %v", err)
+		}
+		s.mu.Lock()
+		active := s.active
+		s.mu.Unlock()
+		if active != 0 {
+			t.Errorf("%d jobs still hold a running slot after Close", active)
+		}
+	})
 }
 
 // directResult runs the same campaign inline through the sectional
@@ -79,21 +105,17 @@ func TestServerMatchesDirect(t *testing.T) {
 }
 
 // TestServerMatchesDirectAcrossEngines pins the same contract under
-// every execution engine: the engine is observational, so the server
+// both execution engines: the engine is observational, so the server
 // result must not move.
 func TestServerMatchesDirectAcrossEngines(t *testing.T) {
 	spec := JobSpec{Bench: "fft", Trials: 200, Seed: 3}
 	want := directResult(t, spec)
 	old := interp.DefaultEngine
 	defer func() { interp.DefaultEngine = old }()
-	for _, name := range []string{"legacy", "image", "compiled"} {
-		eng, err := interp.ParseEngine(name)
-		if err != nil {
-			t.Fatalf("ParseEngine(%s): %v", name, err)
-		}
+	for _, eng := range []interp.Engine{interp.EngineLegacy, interp.EngineCompiled} {
 		interp.DefaultEngine = eng
 		if got := serverResult(t, spec); !bytes.Equal(want, got) {
-			t.Errorf("engine %s: server result differs from direct oracle", name)
+			t.Errorf("engine %s: server result differs from direct oracle", eng)
 		}
 	}
 }
@@ -268,6 +290,7 @@ func TestAdmissionControl(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	closeAtCleanup(t, s)
 	mkSpec := func(seed int64, tenant string) JobSpec {
 		return JobSpec{Bench: "fft", Trials: 50, Seed: seed, Tenant: tenant}
 	}
@@ -543,5 +566,71 @@ func TestComposePlannedOverflowShortfall(t *testing.T) {
 	got := serverResult(t, spec)
 	if !bytes.Equal(direct, got) {
 		t.Errorf("small-budget result differs from direct run")
+	}
+}
+
+// TestCloseParksAndRestartResumes pins graceful shutdown: Close rejects
+// new submissions, leaves queued jobs queued, parks running jobs without
+// a terminal record, and returns once their goroutines exit. A server
+// restarted on the same store then resumes both jobs, exactly as after a
+// SIGKILL, and finishes them with the direct run's bytes.
+func TestCloseParksAndRestartResumes(t *testing.T) {
+	dir := t.TempDir()
+	hold := make(chan struct{})
+	s1, err := New(Options{StoreDir: dir, Workers: 1, MaxActive: 1, holdJobs: hold})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	running, _, err := s1.Submit(JobSpec{Bench: "fft", Trials: 120, Seed: 21})
+	if err != nil {
+		t.Fatalf("submit running: %v", err)
+	}
+	queued, _, err := s1.Submit(JobSpec{Bench: "fft", Trials: 120, Seed: 22})
+	if err != nil {
+		t.Fatalf("submit queued: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := s1.Close(ctx); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if st := running.State(); st != StateFailed {
+		t.Fatalf("running job after Close: %s, want failed (parked)", st)
+	}
+	if msg := running.Status().Error; !strings.Contains(msg, "server closed") {
+		t.Errorf("parked job error %q does not name the shutdown", msg)
+	}
+	if st := queued.State(); st != StateQueued {
+		t.Errorf("queued job after Close: %s, want still queued", st)
+	}
+	if _, _, err := s1.Submit(JobSpec{Bench: "fft", Trials: 120, Seed: 23}); !errors.Is(err, ErrClosed) {
+		t.Errorf("submit after Close: %v, want ErrClosed", err)
+	}
+	ts := httptest.NewServer(s1.Handler())
+	defer ts.Close()
+	if _, err := NewClient(ts.URL).Submit(JobSpec{Bench: "fft", Trials: 120, Seed: 23}); err == nil ||
+		!strings.Contains(err.Error(), "503") {
+		t.Errorf("HTTP submit after Close: %v, want HTTP 503", err)
+	}
+
+	s2, err := New(Options{StoreDir: dir, Workers: 1})
+	if err != nil {
+		t.Fatalf("New(restart): %v", err)
+	}
+	closeAtCleanup(t, s2)
+	if c := s2.Obs().Counter("server.jobs.resumed").Value(); c != 2 {
+		t.Errorf("server.jobs.resumed = %d, want 2 (the parked and the queued job)", c)
+	}
+	for _, j := range []*Job{running, queued} {
+		j2, ok := s2.Get(j.ID)
+		if !ok {
+			t.Fatalf("restarted server does not know job %s", j.ID)
+		}
+		if st := waitDone(t, j2); st != StateDone {
+			t.Fatalf("resumed job ended %s: %s", st, j2.Status().Error)
+		}
+		if got, want := EncodeResult(j2.Result()), directResult(t, j.Spec); !bytes.Equal(got, want) {
+			t.Errorf("resumed job %s differs from the direct run", j.ID)
+		}
 	}
 }

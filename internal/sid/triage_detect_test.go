@@ -178,7 +178,6 @@ func TestProtectedTriageEquivalenceEnginesModels(t *testing.T) {
 	prot := FullDuplication(bench.MustModule())
 	bind := bench.Bind(bench.Reference)
 	engines := map[string]interp.Engine{
-		"image":    interp.EngineImage,
 		"legacy":   interp.EngineLegacy,
 		"compiled": interp.EngineCompiled,
 	}
