@@ -11,6 +11,7 @@
 package fault
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -294,6 +295,10 @@ type Campaign struct {
 	// Obs, if non-nil, receives a span per injection batch plus trial and
 	// batch-latency registry metrics. Observational like Metrics.
 	Obs *obs.Obs
+
+	// noCheckpoints runs every trial from the start (test hook: campaign
+	// tables must not depend on it).
+	noCheckpoints bool
 }
 
 func (c *Campaign) workers() int {
@@ -380,8 +385,21 @@ func (c *Campaign) runSitesModel(m Model, sites []interp.Fault) []Outcome {
 	return c.execSites(sites)
 }
 
+// Golden checkpoints (interp.Checkpoints): every batch of at least
+// minCheckpointBatch trials captures up to checkpointsPerSet golden
+// states (one per four trials), held under checkpointBudget bytes and
+// dropped with the batch, and resumes each trial from the last state
+// before its injection point.
+const (
+	checkpointsPerSet  = 32
+	minCheckpointBatch = 8
+	checkpointBudget   = 4 << 20
+)
+
 // execSites executes fault sites in parallel and returns one outcome per
-// site (index-aligned), deterministic for fixed sites.
+// site (index-aligned), deterministic for fixed sites. Trials resume from
+// golden checkpoints when the batch captured them; a resumed trial's
+// outcome is identical to a run from the start.
 func (c *Campaign) execSites(sites []interp.Fault) []Outcome {
 	t0 := time.Now()
 	sp := c.Obs.Start("fi-batch")
@@ -395,13 +413,16 @@ func (c *Campaign) execSites(sites []interp.Fault) []Outcome {
 	}
 	if nw <= 1 {
 		r := interp.NewRunner(c.Mod, cfg)
+		ck := c.capture(sp, r, len(sites))
+		var use resumeStats
 		busy := time.Now()
 		for i := range sites {
-			// RunScratch: Classify consumes Output before the runner's
+			// Scratch output: Classify consumes Output before the runner's
 			// next run reuses the buffer, so the per-trial copy is waste.
-			outcomes[i] = Classify(c.Golden, r.RunScratch(c.Bind, &sites[i], nil))
+			outcomes[i] = Classify(c.Golden, use.run(r, ck, c.Bind, &sites[i]))
 		}
 		c.Metrics.AddBusy(time.Since(busy))
+		c.noteResumes(use)
 		c.finishSites(outcomes, 1, t0)
 		return outcomes
 	}
@@ -419,24 +440,98 @@ func (c *Campaign) execSites(sites []interp.Fault) []Outcome {
 	for w := range runners {
 		runners[w] = interp.NewRunner(c.Mod, cfg)
 	}
+	// Workers share the checkpoints read-only.
+	ck := c.capture(sp, runners[0], len(sites))
 	var wg sync.WaitGroup
 	for w := 0; w < nw; w++ {
 		wg.Add(1)
 		go func(r *interp.Runner) {
 			defer wg.Done()
 			var busy time.Duration
+			var use resumeStats
 			for i := range next {
 				t := time.Now()
-				res := r.RunScratch(c.Bind, &sites[i], nil)
+				res := use.run(r, ck, c.Bind, &sites[i])
 				busy += time.Since(t)
 				outcomes[i] = Classify(c.Golden, res)
 			}
 			c.Metrics.AddBusy(busy)
+			c.noteResumes(use)
 		}(runners[w])
 	}
 	wg.Wait()
 	c.finishSites(outcomes, nw, t0)
 	return outcomes
+}
+
+// capture records golden checkpoints for a batch of n trials on r, or
+// returns nil, counting the fallback reason, when the batch runs every
+// trial from the start: small batches (a capture would not pay for
+// itself), spawning modules, legacy-engine configurations, and captures
+// that do not reproduce the golden run.
+func (c *Campaign) capture(batch *obs.Span, r *interp.Runner, n int) *interp.Checkpoints {
+	if c.noCheckpoints {
+		return nil
+	}
+	var ck *interp.Checkpoints
+	reason := "small_batch"
+	if n >= minCheckpointBatch {
+		sp := batch.Child("fi-capture")
+		var err error
+		k := int64(min(checkpointsPerSet, n/4))
+		ck, err = r.Capture(c.Bind, c.Golden.DynInstrs/(k+1), checkpointBudget)
+		switch {
+		case errors.Is(err, interp.ErrCaptureSpawn):
+			reason = "spawn"
+		case err != nil:
+			reason = "legacy"
+		default:
+			reason = ""
+			c.Obs.Counter("fault.checkpoint.captures").Inc()
+			c.Metrics.AddCheckpoint(CheckpointStats{Captures: 1})
+			if res := ck.Result(); res.DynInstrs != c.Golden.DynInstrs || res.OutputHash != c.Golden.OutputHash {
+				reason, ck = "capture_mismatch", nil
+			}
+		}
+		if reason != "" {
+			sp.SetAttr("fallback", reason)
+		}
+		sp.End()
+	}
+	if reason != "" {
+		c.Obs.Counter("fault.checkpoint.fallbacks." + reason).Inc()
+		c.Metrics.AddCheckpoint(CheckpointStats{Fallbacks: map[string]int64{reason: 1}})
+	}
+	return ck
+}
+
+// resumeStats counts one worker's checkpoint restores.
+type resumeStats struct {
+	restores, skipped int64
+}
+
+// run executes one trial: resumed from ck when the batch captured
+// checkpoints, from the start otherwise.
+func (u *resumeStats) run(r *interp.Runner, ck *interp.Checkpoints, bind interp.Binding, f *interp.Fault) interp.Result {
+	if ck == nil {
+		return r.RunScratch(bind, f, nil)
+	}
+	res, skipped := r.Resume(ck, f)
+	if skipped > 0 {
+		u.restores++
+		u.skipped += skipped
+	}
+	return res
+}
+
+// noteResumes folds one worker's restores into the campaign metrics.
+func (c *Campaign) noteResumes(u resumeStats) {
+	if u.restores == 0 {
+		return
+	}
+	c.Obs.Counter("fault.checkpoint.restores").Add(u.restores)
+	c.Obs.Counter("fault.checkpoint.skipped_instrs").Add(u.skipped)
+	c.Metrics.AddCheckpoint(CheckpointStats{Restores: u.restores, SkippedInstrs: u.skipped})
 }
 
 // finishSites folds one runSites batch into the campaign metrics.

@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 	"io"
+	"sort"
 	"sync"
 	"text/tabwriter"
 	"time"
@@ -57,20 +58,75 @@ func (m *Metrics) Phase(name string) *PhaseMetrics {
 
 // PhaseMetrics accumulates measurements for one pipeline phase.
 type PhaseMetrics struct {
-	mu          sync.Mutex
-	name        string
-	trials      int64
-	outcomes    [NumOutcomes]int64
-	shortfall   int64
+	mu            sync.Mutex
+	name          string
+	trials        int64
+	outcomes      [NumOutcomes]int64
+	shortfall     int64
 	pruned        int64
 	prunedBy      map[string]int64 // pruned trials per fault-model name
 	prunedByProof map[string]int64 // pruned trials per triage proof class
-	goldenRuns  int64
-	cacheHits   int64
-	cacheMisses int64
-	wall        time.Duration
-	busy        time.Duration
-	maxWorkers  int
+	goldenRuns    int64
+	cacheHits     int64
+	cacheMisses   int64
+	wall          time.Duration
+	busy          time.Duration
+	maxWorkers    int
+	checkpoint    CheckpointStats
+}
+
+// CheckpointStats counts golden-checkpoint use (interp.Checkpoints):
+// capture runs, trials resumed from a checkpoint, the golden-prefix
+// instructions those trials did not execute, and the batches that ran
+// every trial from the start, per reason ("small_batch", "spawn",
+// "legacy", "capture_mismatch").
+type CheckpointStats struct {
+	Captures      int64            `json:"captures"`
+	Restores      int64            `json:"restores"`
+	SkippedInstrs int64            `json:"skipped_instrs"`
+	Fallbacks     map[string]int64 `json:"fallbacks,omitempty"`
+}
+
+// add accumulates o into s.
+func (s *CheckpointStats) add(o CheckpointStats) {
+	s.Captures += o.Captures
+	s.Restores += o.Restores
+	s.SkippedInstrs += o.SkippedInstrs
+	for k, v := range o.Fallbacks {
+		if s.Fallbacks == nil {
+			s.Fallbacks = make(map[string]int64)
+		}
+		s.Fallbacks[k] += v
+	}
+}
+
+// String renders the stats one-liner printed by the -metrics CLIs.
+func (s CheckpointStats) String() string {
+	line := fmt.Sprintf("checkpoints: %d captures, %d restores, %d instrs skipped", s.Captures, s.Restores, s.SkippedInstrs)
+	reasons := make([]string, 0, len(s.Fallbacks))
+	for k := range s.Fallbacks {
+		reasons = append(reasons, k)
+	}
+	sort.Strings(reasons)
+	for i, k := range reasons {
+		sep := ", "
+		if i == 0 {
+			sep = "; fallbacks: "
+		}
+		line += fmt.Sprintf("%s%s %d", sep, k, s.Fallbacks[k])
+	}
+	return line
+}
+
+// AddCheckpoint folds checkpoint use (captures, restores, skipped
+// instructions, fallbacks) into the phase.
+func (p *PhaseMetrics) AddCheckpoint(s CheckpointStats) {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	p.checkpoint.add(s)
+	p.mu.Unlock()
 }
 
 // AddOutcomes folds one batch of executed trial outcomes into the phase.
@@ -198,22 +254,23 @@ func (p *PhaseMetrics) ObserveWorkers(n int) {
 
 // PhaseSnapshot is a consistent copy of one phase's counters.
 type PhaseSnapshot struct {
-	Name        string             `json:"name"`
-	Trials      int64              `json:"trials"` // executed faulty-run trials
-	Outcomes    [NumOutcomes]int64 `json:"outcomes"`
-	Shortfall   int64              `json:"shortfall"` // requested-but-undrawable trials
-	Pruned      int64              `json:"pruned"`    // trials proved benign by static triage, not executed
+	Name      string             `json:"name"`
+	Trials    int64              `json:"trials"` // executed faulty-run trials
+	Outcomes  [NumOutcomes]int64 `json:"outcomes"`
+	Shortfall int64              `json:"shortfall"` // requested-but-undrawable trials
+	Pruned    int64              `json:"pruned"`    // trials proved benign by static triage, not executed
 	// PrunedByModel breaks Pruned down by fault-model name, and
 	// PrunedByProof by the triage proof class that justified the skip
 	// (absent when nothing was pruned).
 	PrunedByModel map[string]int64 `json:"pruned_by_model,omitempty"`
 	PrunedByProof map[string]int64 `json:"pruned_by_proof,omitempty"`
 	GoldenRuns    int64            `json:"golden_runs"` // golden executions actually run (cache misses run once)
-	CacheHits   int64              `json:"cache_hits"`
-	CacheMisses int64              `json:"cache_misses"`
-	Wall        time.Duration      `json:"wall_ns"` // wall-clock time inside instrumented sections
-	Busy        time.Duration      `json:"busy_ns"` // summed per-worker execution time
-	MaxWorkers  int                `json:"max_workers"`
+	CacheHits     int64            `json:"cache_hits"`
+	CacheMisses   int64            `json:"cache_misses"`
+	Wall          time.Duration    `json:"wall_ns"` // wall-clock time inside instrumented sections
+	Busy          time.Duration    `json:"busy_ns"` // summed per-worker execution time
+	MaxWorkers    int              `json:"max_workers"`
+	Checkpoint    CheckpointStats  `json:"checkpoint"`
 }
 
 // HitRate returns the cache hit fraction (0 when the phase saw no lookups).
@@ -246,6 +303,8 @@ func (p *PhaseMetrics) Snapshot() PhaseSnapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var byModel, byProof map[string]int64
+	var ckpt CheckpointStats
+	ckpt.add(p.checkpoint)
 	if len(p.prunedBy) > 0 {
 		byModel = make(map[string]int64, len(p.prunedBy))
 		for k, v := range p.prunedBy {
@@ -266,12 +325,13 @@ func (p *PhaseMetrics) Snapshot() PhaseSnapshot {
 		Pruned:        p.pruned,
 		PrunedByModel: byModel,
 		PrunedByProof: byProof,
-		GoldenRuns:  p.goldenRuns,
-		CacheHits:   p.cacheHits,
-		CacheMisses: p.cacheMisses,
-		Wall:        p.wall,
-		Busy:        p.busy,
-		MaxWorkers:  p.maxWorkers,
+		GoldenRuns:    p.goldenRuns,
+		CacheHits:     p.cacheHits,
+		CacheMisses:   p.cacheMisses,
+		Wall:          p.wall,
+		Busy:          p.busy,
+		MaxWorkers:    p.maxWorkers,
+		Checkpoint:    ckpt,
 	}
 }
 
@@ -323,6 +383,12 @@ func (m *Metrics) Publish(reg *obs.Registry) {
 		reg.Counter(prefix + "wall_ns").Add(s.Wall.Nanoseconds())
 		reg.Counter(prefix + "busy_ns").Add(s.Busy.Nanoseconds())
 		reg.Gauge(prefix + "max_workers").SetMax(int64(s.MaxWorkers))
+		reg.Counter(prefix + "checkpoint.captures").Add(s.Checkpoint.Captures)
+		reg.Counter(prefix + "checkpoint.restores").Add(s.Checkpoint.Restores)
+		reg.Counter(prefix + "checkpoint.skipped_instrs").Add(s.Checkpoint.SkippedInstrs)
+		for reason, n := range s.Checkpoint.Fallbacks {
+			reg.Counter(prefix + "checkpoint.fallbacks." + reason).Add(n)
+		}
 	}
 }
 
@@ -347,5 +413,15 @@ func (m *Metrics) Render(w io.Writer) error {
 			s.Outcomes[OutcomeDetected], s.Outcomes[OutcomeBenign],
 			s.Pruned, s.Shortfall, s.GoldenRuns, hit, s.Wall.Seconds(), s.MaxWorkers, 100*s.Utilization())
 	}
-	return tw.Flush()
+	if err := tw.Flush(); err != nil {
+		return err
+	}
+	var ckpt CheckpointStats
+	for _, s := range snaps {
+		ckpt.add(s.Checkpoint)
+	}
+	if ckpt.Captures > 0 || len(ckpt.Fallbacks) > 0 {
+		fmt.Fprintln(w, ckpt)
+	}
+	return nil
 }

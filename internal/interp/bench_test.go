@@ -54,6 +54,49 @@ func BenchmarkRunFault(b *testing.B) {
 	}
 }
 
+// BenchmarkRunFaultCheckpointed is BenchmarkRunFault for a trial resumed
+// from a golden checkpoint, the way campaigns run their trials: the site
+// is the hottest instruction's middle instance, and a zero stuck-at mask
+// leaves the value unchanged, so the trial runs the whole golden suffix
+// after its restore point. ns/instr divides by the full dynamic count, so
+// it reads as the whole trial's cost per instruction of a run from the
+// start.
+func BenchmarkRunFaultCheckpointed(b *testing.B) {
+	bm, ok := benchprog.ByName("hpccg")
+	if !ok {
+		b.Fatal("hpccg benchmark missing")
+	}
+	m, bind := bm.MustModule(), bm.Bind(bm.Reference)
+	prof := interp.NewProfile(m)
+	golden := interp.NewRunner(m, bm.ExecConfig()).Run(bind, nil, prof)
+	hot := 0
+	for id, n := range prof.InstrCount {
+		if n > prof.InstrCount[hot] {
+			hot = id
+		}
+	}
+	cfg := bm.ExecConfig()
+	cfg.MaxDynInstrs = golden.DynInstrs*20 + 10_000
+	ck, err := interp.NewRunner(m, cfg).Capture(bind, golden.DynInstrs/33, 4<<20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := interp.Fault{InstrID: hot, DynIndex: prof.InstrCount[hot] / 2, Op: interp.FaultStuckAt0}
+	b.Run("compiled", func(b *testing.B) {
+		r := interp.NewRunner(m, cfg)
+		var dyn int64
+		for i := 0; i < b.N; i++ {
+			ff := f
+			res, _ := r.Resume(ck, &ff)
+			if res.Status != interp.StatusOK {
+				b.Fatalf("status %v (%s)", res.Status, res.Trap)
+			}
+			dyn = res.DynInstrs
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(dyn)/float64(b.N), "ns/instr")
+	})
+}
+
 func benchRunBound(b *testing.B, r *interp.Runner, bind interp.Binding, f *interp.Fault, withProf bool, bm *benchprog.Benchmark) {
 	b.Helper()
 	var prof *interp.Profile

@@ -153,10 +153,10 @@ func TestEngineDifferentialFaults(t *testing.T) {
 }
 
 // Full duplication inserts the icmp-eq + detect pairs that the decoder
-// fuses into a single opcode (in spawn-free modules); this pins the fused
-// path, including detection halts under injected faults, to the reference.
-// Full duplication of a module with phis decodes legacy-only, so the
-// phi-free variant is what reaches the compiled engine.
+// fuses into a single opcode (in spawn-free modules), and places each
+// duplicated phi's copy mid-block, where it lowers to an xMidPhi word;
+// this pins both, including detection halts under injected faults, to
+// the reference.
 func TestEngineDifferentialProtected(t *testing.T) {
 	nSites := 6
 	if testing.Short() {
@@ -166,9 +166,11 @@ func TestEngineDifferentialProtected(t *testing.T) {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
-			bind := b.Bind(b.Reference)
-			diffSites(t, b.Name+"/dup", sid.FullDuplication(b.MustModule()), bind, b.ExecConfig(), 7, nSites)
-			diffSites(t, b.Name+"/dup-nophi", phiFreeDuplication(b.MustModule()), bind, b.ExecConfig(), 7, nSites)
+			m := sid.FullDuplication(b.MustModule())
+			if interp.Lower(m).LegacyOnly() {
+				t.Fatalf("%s/dup decodes legacy-only; compiled engine not exercised", b.Name)
+			}
+			diffSites(t, b.Name+"/dup", m, b.Bind(b.Reference), b.ExecConfig(), 7, nSites)
 		})
 	}
 }
@@ -282,7 +284,7 @@ func TestEngineDifferentialSpawning(t *testing.T) {
 	if testing.Short() {
 		nSites = 2
 	}
-	ref, prot := b.MustModule(), phiFreeDuplication(b.MustModule())
+	ref, prot := b.MustModule(), sid.FullDuplication(b.MustModule())
 	for _, m := range []*ir.Module{ref, prot} {
 		img := interp.Lower(m)
 		if img.LegacyOnly() {
@@ -307,38 +309,30 @@ func TestEngineDifferentialSpawning(t *testing.T) {
 }
 
 // TestDefaultEngineIsCompiled pins the production default: a Config{}
-// run of every benchmark, the spawning one included, executes on the
-// compiled engine and never falls back to the legacy stepper.
+// run of every benchmark, the spawning one included, and of its full-DMR
+// module executes on the compiled engine and never falls back to the
+// legacy stepper.
 func TestDefaultEngineIsCompiled(t *testing.T) {
 	reg := obs.NewRegistry()
 	interp.SetObs(reg)
 	defer interp.SetObs(nil)
 	all := benchprog.All()
 	for _, b := range all {
-		res := interp.NewRunner(b.MustModule(), interp.Config{}).Run(b.Bind(b.Reference), nil, nil)
-		if res.Status != interp.StatusOK {
-			t.Fatalf("%s: reference run not OK: %v (%s)", b.Name, res.Status, res.Trap)
+		prot := sid.FullDuplication(b.MustModule())
+		if interp.Lower(prot).LegacyOnly() {
+			t.Errorf("%s: full-DMR module decodes legacy-only", b.Name)
+		}
+		for _, m := range []*ir.Module{b.MustModule(), prot} {
+			res := interp.NewRunner(m, interp.Config{}).Run(b.Bind(b.Reference), nil, nil)
+			if res.Status != interp.StatusOK {
+				t.Fatalf("%s: reference run not OK: %v (%s)", b.Name, res.Status, res.Trap)
+			}
 		}
 	}
-	if n := reg.Counter("interp.runs.compiled").Value(); n != int64(len(all)) {
-		t.Errorf("interp.runs.compiled = %d, want %d (one per benchmark)", n, len(all))
+	if n := reg.Counter("interp.runs.compiled").Value(); n != int64(2*len(all)) {
+		t.Errorf("interp.runs.compiled = %d, want %d (two per benchmark)", n, 2*len(all))
 	}
 	if n := reg.Counter("interp.runs.legacy").Value(); n != 0 {
 		t.Errorf("interp.runs.legacy = %d, want 0", n)
 	}
-}
-
-// phiFreeDuplication protects every duplicable instruction except phis.
-// Duplicate places a phi's copy right after it, in the middle of the
-// block, which the decoder cannot lower; FullDuplication of a module with
-// phis therefore runs on the legacy stepper alone, and this variant is
-// the one that pins protected code on the compiled engine.
-func phiFreeDuplication(m *ir.Module) *ir.Module {
-	var chosen []int
-	for _, in := range m.Instrs {
-		if in.Op != ir.OpPhi && sid.Duplicable(in) {
-			chosen = append(chosen, in.ID)
-		}
-	}
-	return sid.Duplicate(m, chosen)
 }

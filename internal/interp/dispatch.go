@@ -73,6 +73,7 @@ func (r *Runner) pushCFrame(t *thread, cfn *cfunc, args []uint64, retDst int, ca
 		callID:    callID,
 		callTBits: callTBits,
 		phiSrc:    cfn.ifn.entryPhiSrc,
+		midOff:    cfn.ifn.entryMidOff,
 	}
 	t.callDepth++
 }
@@ -151,7 +152,9 @@ func (r *Runner) flipSlot(regs []uint64, dst int32, tbits uint8) {
 // takeEdgeC transfers control along edge e in the order of the reference
 // stepper: block and edge counters (before any phi work, including a
 // missing-predecessor trap), then the edge's phi moves, with profile and
-// fault both guarded. Returns the continue bit for the dispatch loop.
+// fault both guarded. The target's mid-block phis read their incoming
+// slots through the frame's midOff, which the edge sets. Returns the
+// continue bit for the dispatch loop.
 func (r *Runner) takeEdgeC(fr *frame, e int32) bool {
 	if e < 0 {
 		r.haltTrap("branch to invalid block")
@@ -167,6 +170,7 @@ func (r *Runner) takeEdgeC(fr *frame, e int32) bool {
 		r.haltTrap("phi with no matching predecessor")
 		return false
 	}
+	fr.midOff = ep.midOff
 	if ep.lone {
 		fr.phiSrc = ep.moves[0].src
 		fr.pc = int(ep.target)
@@ -958,6 +962,19 @@ func init() {
 			return false
 		}
 		r.wr(fr, in, fr.regs[fr.phiSrc])
+		return true
+	}
+
+	cHandlers[xMidPhi] = func(r *Runner, t *thread, fr *frame, in *iword) bool {
+		if !r.acct(in) {
+			return false
+		}
+		src := r.comp.img.midSrc[fr.midOff+in.b]
+		if src < 0 {
+			r.haltTrap("phi with no matching predecessor")
+			return false
+		}
+		r.wr(fr, in, fr.regs[src])
 		return true
 	}
 

@@ -114,7 +114,7 @@ var xopNames = map[xop]string{
 	xAlloca: "alloca", xLoad: "load", xStore: "store", xGEP: "gep",
 	xGlobalAddr: "globaladdr", xArrayLen: "arraylen",
 	xBr: "br", xCondBr: "condbr", xRet: "ret", xRetVoid: "retvoid",
-	xEntryPhi: "entryphi", xLonePhi: "lonephi",
+	xEntryPhi: "entryphi", xLonePhi: "lonephi", xMidPhi: "midphi",
 	xCall: "call", xSelect: "select", xSpawn: "spawn", xJoin: "join",
 	xDetect: "detect", xEmit: "emit",
 	xSqrt: "sqrt", xFabs: "fabs", xExp: "exp", xLog: "log",

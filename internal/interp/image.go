@@ -21,7 +21,8 @@ import (
 //   - branch resolution: branch targets become code offsets, and every
 //     static CFG edge gets a precompiled "edge program" that performs the
 //     target block's phi moves (parallel-assignment semantics) with the
-//     incoming values already resolved to slots;
+//     incoming values already resolved to slots, and records where the
+//     incoming slots of the target's mid-block phis live;
 //   - comparison specialization: icmp/fcmp predicates are folded into the
 //     opcode, and a detector check that immediately follows its icmp-eq
 //     (the shape emitted by the SID duplication transform) is fused into
@@ -94,6 +95,14 @@ const (
 	// step; the incoming slot was resolved by the edge program (or frame
 	// entry) into frame.phiSrc.
 	xLonePhi
+	// xMidPhi is a phi after the block's leading phi run (sid.Duplicate
+	// places a duplicated phi's checked copy there). It executes as its
+	// own step with the reference stepper's sequential semantics, reading
+	// the register file as the preceding instructions left it. The
+	// incoming slot is Image.midSrc[frame.midOff+b]: the edge into the
+	// block (or frame entry) recorded midOff, and b is the phi's ordinal
+	// among the block's mid-block phis.
+	xMidPhi
 
 	xCall
 	xSelect
@@ -165,6 +174,10 @@ type edgeProg struct {
 	// sources: parallel-assignment semantics then coincide with sequential
 	// writes, so executors may skip the snapshot buffer.
 	direct bool
+	// midOff is the offset into Image.midSrc of the incoming slots, for
+	// this edge, of the target's mid-block phis (in block order); the
+	// edge stores it in frame.midOff.
+	midOff int32
 }
 
 // ifunc is one decoded function.
@@ -175,6 +188,7 @@ type ifunc struct {
 	nRegs       int
 	entryBlock  int32 // global block index of block 0
 	entryPhiSrc int32 // lone entry phi: incoming slot for predecessor 0 (-1: none)
+	entryMidOff int32 // Image.midSrc offset of block 0's mid-block phis for predecessor 0
 
 	// Block layout, recorded for the compile step (compile.go): block bi's
 	// words occupy code[blockOff[bi]:blockOff[bi+1]] (len nBlocks+1), and
@@ -198,10 +212,14 @@ type Image struct {
 	maxPhi    int // largest leading phi group
 	hasSpawn  bool
 	// legacyOnly marks a module the decoder cannot faithfully lower
-	// (malformed operands, mid-block phis, value ops without a result
-	// register). The Runner silently falls back to the reference stepper,
-	// which defines the semantics of such modules.
+	// (malformed operands, value ops or phis without a result register).
+	// The Runner silently falls back to the reference stepper, which
+	// defines the semantics of such modules.
 	legacyOnly bool
+	// midSrc holds, per (edge, mid-block phi of its target), the incoming
+	// slot of the phi for that edge (-1: the phi lists no such
+	// predecessor); edge programs and function entry index it by midOff.
+	midSrc []int32
 }
 
 // LegacyOnly reports whether the decoder bailed out and execution will use
@@ -290,25 +308,20 @@ func (img *Image) decodeFunc(f *ir.Function) *ifunc {
 		return -1
 	}
 
-	// leadPhi[b] is the length of block b's leading phi run; a phi outside
-	// the leading run cannot be lowered (it would need per-instruction
-	// dynamic predecessor tracking) and forces the legacy fallback, as does
-	// a phi without a destination register.
+	// leadPhi[b] is the length of block b's leading phi run. A phi without
+	// a destination register forces the legacy fallback.
 	leadPhi := make([]int, len(f.Blocks))
 	for bi, blk := range f.Blocks {
 		n := 0
 		for n < len(blk.Instrs) && blk.Instrs[n].Op == ir.OpPhi {
-			if blk.Instrs[n].Dst < 0 {
-				img.legacyOnly = true
-			}
 			n++
 		}
 		leadPhi[bi] = n
 		if n > img.maxPhi {
 			img.maxPhi = n
 		}
-		for _, in := range blk.Instrs[n:] {
-			if in.Op == ir.OpPhi {
+		for _, in := range blk.Instrs {
+			if in.Op == ir.OpPhi && in.Dst < 0 {
 				img.legacyOnly = true
 			}
 		}
@@ -316,6 +329,18 @@ func (img *Image) decodeFunc(f *ir.Function) *ifunc {
 	if img.legacyOnly {
 		return ifn
 	}
+	// midSrcFor appends the incoming slots of block b's mid-block phis for
+	// predecessor pred to img.midSrc and returns their offset.
+	midSrcFor := func(b, pred int) int32 {
+		off := int32(len(img.midSrc))
+		for _, in := range f.Blocks[b].Instrs[leadPhi[b]:] {
+			if in.Op == ir.OpPhi {
+				img.midSrc = append(img.midSrc, phiSrcFor(in, pred))
+			}
+		}
+		return off
+	}
+	ifn.entryMidOff = midSrcFor(0, 0)
 
 	// Emit the code. A lone leading phi is emitted as an xLonePhi word at
 	// the block's edge-entry offset: it runs as its own step (matching the
@@ -324,7 +349,8 @@ func (img *Image) decodeFunc(f *ir.Function) *ifunc {
 	// emitted as sequential xEntryPhi words resolved against predecessor 0
 	// (function entry only; branch edges land after them and perform the
 	// group as a parallel edge program). Other leading phi groups are not
-	// emitted at all — the edge programs do the work.
+	// emitted at all — the edge programs do the work. A phi after the
+	// leading run becomes an xMidPhi word in place.
 	edgeEntry := make([]int32, len(f.Blocks))
 	emit := func(w iword) { ifn.code = append(ifn.code, w) }
 	for bi, blk := range f.Blocks {
@@ -348,7 +374,14 @@ func (img *Image) decodeFunc(f *ir.Function) *ifunc {
 		default:
 			edgeEntry[bi] = int32(len(ifn.code))
 		}
+		mid := int32(0)
 		for _, in := range blk.Instrs[n:] {
+			if in.Op == ir.OpPhi {
+				emit(iword{op: xMidPhi, tbits: uint8(in.Type.Bits()), cyc: int16(in.Op.Cycles()),
+					dst: int32(in.Dst), b: mid, id: int32(in.ID), ex0: -1, ex1: -1})
+				mid++
+				continue
+			}
 			img.emitInstr(ifn, f, bi, in, slotOf, emit)
 			if img.legacyOnly {
 				return ifn
@@ -375,6 +408,7 @@ func (img *Image) decodeFunc(f *ir.Function) *ifunc {
 				target:   edgeEntry[s],
 				dstBlock: int32(img.mod.GlobalBlockIndex(f.Index, s)),
 				lone:     leadPhi[s] == 1,
+				midOff:   midSrcFor(s, bi),
 			}
 			grouped := leadPhi[s] >= 2
 			for _, ph := range f.Blocks[s].Instrs[:leadPhi[s]] {

@@ -235,8 +235,10 @@ type Profile struct {
 }
 
 // NewProfile returns a Profile sized for m.
-func NewProfile(m *ir.Module) *Profile {
-	e := NewEdgeIndex(m)
+func NewProfile(m *ir.Module) *Profile { return newProfile(m, NewEdgeIndex(m)) }
+
+// newProfile returns a Profile sized for m over its edge index e.
+func newProfile(m *ir.Module, e *EdgeIndex) *Profile {
 	return &Profile{
 		InstrCount:  make([]int64, m.NumInstrs()),
 		InstrCycles: make([]int64, m.NumInstrs()),
@@ -302,6 +304,7 @@ type frame struct {
 	callID    int32     // compiled: static ID of the creating call if it has a result, else -1
 	callTBits uint8     // compiled: flip width of the call's result type
 	phiSrc    int32     // compiled: incoming slot for a pending xLonePhi (-1: no match)
+	midOff    int32     // compiled: Image.midSrc offset of the current block's xMidPhi slots
 
 	// Compiled engine only: the run-mode code stream (exact under a
 	// fault, specialized otherwise) and the xRun constituent table
@@ -422,6 +425,34 @@ func (r *Runner) sizeScratch() {
 
 func (r *Runner) run(bind Binding, fault *Fault, prof *Profile, copyOut bool) Result {
 	r.setup(bind)
+	r.arm(fault, prof)
+
+	rc := obsCounters.Load()
+	var edgeBase int64
+	if rc != nil && prof != nil {
+		edgeBase = edgeTotal(prof)
+	}
+
+	eng := r.resolveEngine()
+	t := r.newThread()
+	if eng == EngineLegacy {
+		r.pushFrame(t, r.mod.Funcs[r.mod.Entry()], bind.Args, -1)
+		r.schedule(r.runQuantum)
+	} else {
+		r.enterMain(t, bind.Args)
+		r.schedule(r.quantumCompiled)
+	}
+
+	res := r.result(copyOut)
+	if rc != nil {
+		rc.recordRun(&res, eng, prof, edgeBase, 0)
+	}
+	return res
+}
+
+// arm sets the run mode: the fault to inject (nil: none) and the profile
+// to fill (nil: none).
+func (r *Runner) arm(fault *Fault, prof *Profile) {
 	r.fault = fault
 	r.faultSeen = 0
 	r.prof = prof
@@ -433,33 +464,25 @@ func (r *Runner) run(bind Binding, fault *Fault, prof *Profile, copyOut bool) Re
 	if fault != nil {
 		r.faultID = int32(fault.InstrID)
 	}
+}
 
-	rc := obsCounters.Load()
-	var edgeBase int64
-	if rc != nil && prof != nil {
-		edgeBase = edgeTotal(prof)
+// enterMain pushes the compiled entry function's frame onto t.
+func (r *Runner) enterMain(t *thread, args []uint64) {
+	main := r.comp.funcs[r.mod.Entry()]
+	r.pushCFrame(t, main, args, -1, -1, 0)
+	if r.prof != nil {
+		r.prof.BlockCount[main.ifn.entryBlock]++
 	}
+}
 
-	entry := r.mod.Entry()
-	eng := r.resolveEngine()
-	t := r.newThread()
-	if eng == EngineLegacy {
-		r.pushFrame(t, r.mod.Funcs[entry], bind.Args, -1)
-		r.schedule(r.runQuantum)
-	} else {
-		main := r.comp.funcs[entry]
-		r.pushCFrame(t, main, bind.Args, -1, -1, 0)
-		if prof != nil {
-			prof.BlockCount[main.ifn.entryBlock]++
-		}
-		r.schedule(r.quantumCompiled)
-	}
-
+// result packages the finished run's outcome; copyOut detaches Output
+// from the Runner's buffer.
+func (r *Runner) result(copyOut bool) Result {
 	out := r.out
 	if copyOut {
 		out = append([]uint64(nil), r.out...)
 	}
-	res := Result{
+	return Result{
 		Status:     r.status,
 		Trap:       r.trap,
 		Output:     out,
@@ -467,10 +490,6 @@ func (r *Runner) run(bind Binding, fault *Fault, prof *Profile, copyOut bool) Re
 		Cycles:     r.cycles,
 		OutputHash: hashWords(r.out),
 	}
-	if rc != nil {
-		rc.recordRun(&res, eng, prof, edgeBase)
-	}
-	return res
 }
 
 func (r *Runner) setup(bind Binding) {
@@ -527,6 +546,16 @@ func (r *Runner) newThread() *thread {
 	} else {
 		r.mem = append(r.mem, make([]uint64, r.cfg.StackWords)...)
 	}
+	t := r.threadSlot()
+	t.sp = start
+	t.stackEnd = start + r.cfg.StackWords
+	return t
+}
+
+// threadSlot appends a reset thread to r.threads, reusing a pooled one
+// (and its frame and register storage) when available. The caller sets
+// the stack bounds.
+func (r *Runner) threadSlot() *thread {
 	var t *thread
 	if len(r.threads) < len(r.threadPool) {
 		t = r.threadPool[len(r.threads)]
@@ -538,8 +567,6 @@ func (r *Runner) newThread() *thread {
 		t = &thread{}
 		r.threadPool = append(r.threadPool, t)
 	}
-	t.sp = start
-	t.stackEnd = start + r.cfg.StackWords
 	r.threads = append(r.threads, t)
 	return t
 }

@@ -56,10 +56,12 @@ func SetObs(reg *obs.Registry) {
 
 // recordRun folds one completed run into the registry. edgeBase is the
 // profile's edge-hit total before the run, so reused profiles report only
-// this run's traversals.
-func (rc *runCounters) recordRun(res *Result, eng Engine, prof *Profile, edgeBase int64) {
+// this run's traversals. skipped is the golden prefix a run resumed from a
+// checkpoint did not execute: interp.dyn_instrs counts only executed
+// instructions.
+func (rc *runCounters) recordRun(res *Result, eng Engine, prof *Profile, edgeBase, skipped int64) {
 	rc.runs.Inc()
-	rc.dynInstrs.Add(res.DynInstrs)
+	rc.dynInstrs.Add(res.DynInstrs - skipped)
 	if eng == EngineLegacy {
 		rc.runsLegacy.Inc()
 	} else {
