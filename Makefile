@@ -15,18 +15,20 @@ vet:
 # nil-receiver contract. Stdlib-only; CI runs it in the static-analysis
 # job and additionally asserts it FAILS on the seeded fixture tree.
 lint: vet
+	test -z "$$(gofmt -l .)"
 	$(GO) run ./tools/sdclint ./internal ./cmd ./tools
 
 test:
 	$(GO) test ./...
 
-# Race-check the concurrency-heavy packages: the fault campaign engine
+# Race-check the concurrency-heavy packages: the per-snapshot memo on
+# ir.Module and the analyses built through it, the fault campaign engine
 # (cache single-flight, parallel runSites), the parallel GA fitness
 # evaluation, and the campaign service (concurrent submits, single-flight
 # dedup, admission control). -short trims the invariance matrix to keep
 # this quick.
 race:
-	$(GO) test -race -short ./internal/fault/... ./internal/minpsid/... ./internal/server/...
+	$(GO) test -race -short ./internal/ir/... ./internal/analysis/... ./internal/fault/... ./internal/minpsid/... ./internal/server/...
 
 check: build vet test race
 

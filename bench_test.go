@@ -259,18 +259,22 @@ func BenchmarkAblationKnapsackGreedy(b *testing.B) {
 // BenchmarkAblationGASearch vs RandomSearch: incubative yield per budget
 // (DESIGN.md design choice: weighted-CFG-guided GA).
 func BenchmarkAblationGASearch(b *testing.B) {
-	benchAblationSearch(b, false)
+	benchAblationSearch(b, minpsid.StrategyGA)
 }
 
 func BenchmarkAblationRandomSearch(b *testing.B) {
-	benchAblationSearch(b, true)
+	benchAblationSearch(b, minpsid.StrategyRandom)
 }
 
-func benchAblationSearch(b *testing.B, random bool) {
+func BenchmarkAblationAnnealSearch(b *testing.B) {
+	benchAblationSearch(b, minpsid.StrategyAnneal)
+}
+
+func benchAblationSearch(b *testing.B, strategy minpsid.Strategy) {
 	bm, meas := measureFor(b, "knn", 8)
 	tgt := minpsid.Target{Mod: bm.MustModule(), Spec: bm.Spec, Bind: bm.Bind, Exec: bm.ExecConfig()}
 	cfg := minpsid.Config{FaultsPerInstr: 8, MaxInputs: 3, Patience: 2,
-		PopSize: 4, MaxGenerations: 2, Seed: 9, UseRandomSearch: random}
+		PopSize: 4, MaxGenerations: 2, Seed: 9, Strategy: strategy}
 	b.ResetTimer()
 	var found int
 	for i := 0; i < b.N; i++ {
@@ -314,20 +318,6 @@ func BenchmarkFaultCampaignThroughput(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(200*float64(b.N)/b.Elapsed().Seconds(), "faults/s")
-}
-
-func BenchmarkAblationAnnealSearch(b *testing.B) {
-	bm, meas := measureFor(b, "knn", 8)
-	tgt := minpsid.Target{Mod: bm.MustModule(), Spec: bm.Spec, Bind: bm.Bind, Exec: bm.ExecConfig()}
-	cfg := minpsid.Config{FaultsPerInstr: 8, MaxInputs: 3, Patience: 2,
-		PopSize: 4, MaxGenerations: 2, Seed: 9, Strategy: minpsid.StrategyAnneal}
-	b.ResetTimer()
-	var found int
-	for i := 0; i < b.N; i++ {
-		res := minpsid.Search(tgt, cfg, bm.Reference, meas)
-		found = len(res.Incubative)
-	}
-	b.ReportMetric(float64(found), "incubative")
 }
 
 // BenchmarkAblationFullDuplication measures the Fig. 1(b) upper bound:

@@ -57,7 +57,7 @@ func main() {
 
 	// Compare with blind random search on the same budget (Fig. 7).
 	cfgRnd := cfg
-	cfgRnd.UseRandomSearch = true
+	cfgRnd.Strategy = minpsid.StrategyRandom
 	rnd := minpsid.Search(tgt, cfgRnd, b.Reference, refMeas)
 	fmt.Printf("\nGA search found %d incubative instructions; random search found %d (same budget)\n",
 		len(search.Incubative), len(rnd.Incubative))

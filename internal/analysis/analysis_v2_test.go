@@ -8,7 +8,10 @@ package analysis
 
 import (
 	"math"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/ir"
 )
@@ -357,6 +360,26 @@ func TestProvablyDetectedRequiresAlwaysFlips(t *testing.T) {
 func TestFactsSingleBuildPerSnapshot(t *testing.T) {
 	m, _ := rangeKernel(t)
 	before := factsBuilds.Load()
+	// Concurrent first use: racing callers wait for the one build.
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			switch i % 3 {
+			case 0:
+				_ = TriageFor(m)
+			case 1:
+				_ = FactsFor(m)
+			default:
+				_ = BuildBoundaries(m)
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
 	tri := TriageFor(m)
 	_ = tri.Report()
 	_ = FactsFor(m)
@@ -380,4 +403,22 @@ func TestFactsSingleBuildPerSnapshot(t *testing.T) {
 	if got := factsBuilds.Load() - before; got != 2 {
 		t.Fatalf("facts built %d times across two snapshots, want 2", got)
 	}
+}
+
+// Derived values live as long as their snapshot: once the module is
+// re-finalized, nothing keeps the old snapshot's facts reachable.
+func TestFactsFreedAfterFinalize(t *testing.T) {
+	m, _ := rangeKernel(t)
+	freed := make(chan struct{})
+	runtime.SetFinalizer(FactsFor(m), func(*Facts) { close(freed) })
+	m.Finalize()
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("facts of a replaced snapshot are still reachable")
 }

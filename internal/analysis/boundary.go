@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/ir"
 )
@@ -67,23 +66,12 @@ type Boundaries struct {
 	Secs []SectionSummary
 }
 
-type boundaryKey struct {
-	mod     *ir.Module
-	version uint64
-}
-
-var boundaryCache sync.Map // boundaryKey -> *Boundaries
+type boundaryKey struct{}
 
 // BuildBoundaries returns the memoized boundary summaries of m's current
 // finalized snapshot.
 func BuildBoundaries(m *ir.Module) *Boundaries {
-	key := boundaryKey{mod: m, version: m.Version()}
-	if v, ok := boundaryCache.Load(key); ok {
-		return v.(*Boundaries)
-	}
-	b := buildBoundaries(m)
-	actual, _ := boundaryCache.LoadOrStore(key, b)
-	return actual.(*Boundaries)
+	return ir.Derived(m, boundaryKey{}, buildBoundaries)
 }
 
 func buildBoundaries(m *ir.Module) *Boundaries {

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/ir"
@@ -12,20 +11,22 @@ import (
 // chains, known bits, value ranges, provenance/memory-SSA, demanded
 // bits, detection facts, and the propagation graph. The bundle is
 // immutable after construction and shared by every consumer — Triage,
-// the sid heuristics, reports, and the -analyze CLI all hit the same
-// memoized instance, so the underlying CFG and dominator builds run
-// exactly once per module snapshot (factsBuilds counts them; the
+// the sid detectors and heuristics, reports, and the -analyze CLI all hit
+// the same memoized instance, so the underlying CFG and dominator builds
+// run exactly once per module snapshot (factsBuilds counts them; the
 // single-build test asserts it).
 type Facts struct {
 	Mod *ir.Module
 
 	// SingleAssignment: every function is in single-assignment register
-	// form. When false, only the structural fields (CFGs, Doms,
-	// DefUses) are populated; the value analyses would be unsound and
-	// Triage is inert.
+	// form. When false, only the per-function structural facts (CFGs,
+	// Doms, DefUses, and Known of the single-assignment functions) are
+	// populated; the module-level analyses would be unsound and Triage
+	// is inert.
 	SingleAssignment bool
 
-	// Per-function, indexed by function index.
+	// Per-function, indexed by function index. Known[fi] is nil when
+	// function fi is not in single-assignment form.
 	CFGs    []*CFG
 	Doms    []*DomTree
 	DefUses []*DefUse
@@ -51,26 +52,13 @@ type Facts struct {
 // single-build test; see export_test.go).
 var factsBuilds atomic.Int64
 
-// factsKey identifies one immutable module snapshot, mirroring the
-// (pointer, version) identity the interpreter's image cache uses.
-type factsKey struct {
-	mod     *ir.Module
-	version uint64
-}
-
-var factsCache sync.Map // factsKey -> *Facts
+type factsKey struct{}
 
 // FactsFor returns the memoized fact bundle of m's current finalized
 // snapshot, computing it on first use. Modules are analyzed at most
 // once per Finalize generation.
 func FactsFor(m *ir.Module) *Facts {
-	key := factsKey{mod: m, version: m.Version()}
-	if v, ok := factsCache.Load(key); ok {
-		return v.(*Facts)
-	}
-	fa := buildFacts(m)
-	actual, _ := factsCache.LoadOrStore(key, fa)
-	return actual.(*Facts)
+	return ir.Derived(m, factsKey{}, buildFacts)
 }
 
 // buildFacts runs every analysis over m in dependency order.
@@ -82,12 +70,15 @@ func buildFacts(m *ir.Module) *Facts {
 		CFGs:             make([]*CFG, len(m.Funcs)),
 		Doms:             make([]*DomTree, len(m.Funcs)),
 		DefUses:          make([]*DefUse, len(m.Funcs)),
+		Known:            make([]*KnownBits, len(m.Funcs)),
 	}
 	for fi, f := range m.Funcs {
 		fa.CFGs[fi] = BuildCFG(f)
 		fa.Doms[fi] = BuildDom(fa.CFGs[fi])
 		fa.DefUses[fi] = BuildDefUse(f)
-		if !fa.DefUses[fi].SingleAssignment {
+		if fa.DefUses[fi].SingleAssignment {
+			fa.Known[fi] = BuildKnownBits(f, fa.CFGs[fi])
+		} else {
 			fa.SingleAssignment = false
 		}
 	}
@@ -95,10 +86,8 @@ func buildFacts(m *ir.Module) *Facts {
 		return fa
 	}
 
-	fa.Known = make([]*KnownBits, len(m.Funcs))
 	fa.Ranges = make([]*ValueRanges, len(m.Funcs))
 	for fi, f := range m.Funcs {
-		fa.Known[fi] = BuildKnownBits(f, fa.CFGs[fi])
 		fa.Ranges[fi] = BuildRanges(f, fa.CFGs[fi], fa.DefUses[fi])
 	}
 	fa.Pts = BuildPointsTo(m)

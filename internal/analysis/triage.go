@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"sync"
-
 	"repro/internal/ir"
 )
 
@@ -344,18 +342,12 @@ func (t *Triage) ClassifyFor(cl FaultClass, id int, bit uint, mask uint64) (Verd
 	return VerdictUnknown, ProofNone
 }
 
-var triageCache sync.Map // factsKey -> *Triage
+type triageKey struct{}
 
 // TriageFor returns the memoized triage of m's current finalized
 // snapshot, computing it on first use. Modules are analyzed at most
 // once per Finalize generation (the Facts bundle underneath is
 // memoized the same way).
 func TriageFor(m *ir.Module) *Triage {
-	key := factsKey{mod: m, version: m.Version()}
-	if v, ok := triageCache.Load(key); ok {
-		return v.(*Triage)
-	}
-	t := NewTriage(m)
-	actual, _ := triageCache.LoadOrStore(key, t)
-	return actual.(*Triage)
+	return ir.Derived(m, triageKey{}, NewTriage)
 }

@@ -48,19 +48,22 @@ func BindingKey(bind interp.Binding) [sha256.Size]byte {
 	return key
 }
 
-// goldenKey identifies one memoized golden run. Modules are immutable
-// once built, so pointer identity is the module identity; the execution
-// config participates because it bounds the run.
+// goldenKey identifies one memoized golden run. The module pointer and
+// its Finalize version name one module snapshot, so a module edited and
+// re-finalized in place is run again; the execution config participates
+// because it bounds the run.
 type goldenKey struct {
-	mod  *ir.Module
-	cfg  interp.Config
-	bind [sha256.Size]byte
+	mod     *ir.Module
+	version uint64
+	cfg     interp.Config
+	bind    [sha256.Size]byte
 }
 
 // campaignKey identifies one memoized unprotected-program campaign
 // (site sample + index-aligned outcomes).
 type campaignKey struct {
 	mod        *ir.Module
+	version    uint64
 	cfg        interp.Config
 	bind       [sha256.Size]byte
 	model      string // fault-model name: isolates per-model site samples
@@ -130,7 +133,7 @@ const DefaultCacheEntries = 256
 
 // Cache is the campaign engine's memoization layer: it remembers golden
 // runs (output, cycle counts, and full dynamic profile) and
-// unprotected-program campaign results, keyed by (module identity,
+// unprotected-program campaign results, keyed by (module snapshot,
 // canonicalized input binding, execution config). Both tables are
 // LRU-bounded and safe for concurrent use; concurrent requests for the
 // same key share one computation (single flight).
@@ -170,7 +173,7 @@ func (c *Cache) Golden(m *ir.Module, bind interp.Binding, cfg interp.Config, pm 
 	if c == nil {
 		return runGoldenTimed(m, bind, cfg, pm)
 	}
-	key := goldenKey{mod: m, cfg: cfg, bind: BindingKey(bind)}
+	key := goldenKey{mod: m, version: m.Version(), cfg: cfg, bind: BindingKey(bind)}
 	c.mu.Lock()
 	if v, ok := c.goldens.get(key); ok {
 		c.goldenHits++
@@ -220,7 +223,7 @@ func (c *Cache) unprotectedCampaign(camp *Campaign, excludeDup bool, n int, seed
 		return run()
 	}
 	key := campaignKey{
-		mod: camp.Mod, cfg: camp.Cfg, bind: BindingKey(camp.Bind),
+		mod: camp.Mod, version: camp.Mod.Version(), cfg: camp.Cfg, bind: BindingKey(camp.Bind),
 		model: m.Name(), n: n, seed: seed, excludeDup: excludeDup,
 	}
 	c.mu.Lock()

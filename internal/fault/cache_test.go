@@ -1,10 +1,13 @@
 package fault
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/interp"
+	"repro/internal/ir"
+	"repro/internal/minicc"
 )
 
 func testBinding(n uint64) interp.Binding {
@@ -76,6 +79,35 @@ func TestCacheGoldenMemoizes(t *testing.T) {
 	}
 	if s := c.Stats(); s.GoldenMisses != 2 {
 		t.Fatalf("other binding hit the cache: %+v", s)
+	}
+}
+
+// A module edited and re-finalized in place is a new snapshot: the cache
+// must run it again, not serve the old snapshot's golden run.
+func TestCacheGoldenRerunsAfterInPlaceEdit(t *testing.T) {
+	m, err := minicc.Compile("edit.mc", `func main(n int) { emiti(n+1); emiti(n*3); }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bind := interp.Binding{Args: []uint64{5}}
+	c := NewCache(0)
+	if _, err := c.Golden(m, bind, interp.Config{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	entry := m.Funcs[0].Blocks[0]
+	i := slices.IndexFunc(entry.Instrs, func(in *ir.Instr) bool { return in.Op == ir.OpCallB })
+	entry.Instrs = slices.Delete(entry.Instrs, i, i+1) // drop emiti(n+1)
+	m.Finalize()
+	got, err := c.Golden(m, bind, interp.Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := RunGolden(m, bind, interp.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Output, want.Output) || len(want.Output) != 1 {
+		t.Fatalf("golden output after edit = %v, want %v", got.Output, want.Output)
 	}
 }
 

@@ -1,8 +1,6 @@
 package interp
 
 import (
-	"sync"
-
 	"repro/internal/analysis"
 	"repro/internal/ir"
 )
@@ -36,12 +34,6 @@ import (
 // the decoded image stream unfused, with only the specialization rewrite.
 // Cycle accounting, profile counters, hang-budget boundaries, trap points,
 // and fault-site numbering are preserved exactly in all streams.
-
-// CompilerVersion names the compile-step revision. It participates in the
-// compiled-artifact cache key exactly like the pipeline store's task-kind
-// versions, so a changed compiler never serves stale artifacts keyed by
-// an unchanged module.
-const CompilerVersion = "superinstr/v1"
 
 // cfunc is one compiled function: two code streams of identical length
 // and offsets (so edge programs retarget once), plus the run side tables
@@ -381,43 +373,15 @@ func countOps(ws []iword, op xop) int {
 	return n
 }
 
-// compiledCacheCap bounds the compiled-artifact cache. Artifacts are
-// shared by all Runners of a module (campaign workers, golden runs,
-// harness phases), so a modest cap covers every live module of a process.
-const compiledCacheCap = 128
+type compiledKey struct{}
 
-type compiledCacheKey struct {
-	mod      *ir.Module
-	version  uint64
-	compiler string
-}
-
-var compCache = struct {
-	sync.Mutex
-	m     map[compiledCacheKey]*Compiled
-	order []compiledCacheKey // FIFO eviction order
-}{m: make(map[compiledCacheKey]*Compiled)}
-
-// compiledOf returns the (process-wide, cached) compiled artifact of m.
-// Decoding and compiling are deterministic, so concurrent callers share
-// the result. The key is the module's content identity (pointer +
-// finalize version, so a re-finalized module is recompiled instead of
-// served stale code) plus CompilerVersion — the same shape as the
-// pipeline store's keys (content hash + task version).
+// compiledOf returns the compiled artifact of m's current finalized
+// snapshot, shared by every Runner of the module (campaign workers,
+// golden runs, harness phases). Decoding and compiling are
+// deterministic, so the artifact lives on the module and is recompiled
+// only after Finalize.
 func compiledOf(m *ir.Module) *Compiled {
-	key := compiledCacheKey{mod: m, version: m.Version(), compiler: CompilerVersion}
-	compCache.Lock()
-	defer compCache.Unlock()
-	if c, ok := compCache.m[key]; ok {
-		return c
-	}
-	c := Compile(Lower(m))
-	compCache.m[key] = c
-	compCache.order = append(compCache.order, key)
-	if len(compCache.order) > compiledCacheCap {
-		old := compCache.order[0]
-		compCache.order = compCache.order[1:]
-		delete(compCache.m, old)
-	}
-	return c
+	return ir.Derived(m, compiledKey{}, func(m *ir.Module) *Compiled {
+		return Compile(Lower(m))
+	})
 }

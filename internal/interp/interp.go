@@ -391,10 +391,10 @@ func (r *Runner) RunScratch(bind Binding, fault *Fault, prof *Profile) Result {
 	return r.run(bind, fault, prof, false)
 }
 
-// resolveEngine picks the engine for the next run, compiling (or
-// re-fetching from the shared cache) the module when needed. Tracing and
-// modules the decoder cannot lower always use the legacy stepper, which
-// defines the semantics.
+// resolveEngine picks the engine for the next run, fetching the module's
+// compiled artifact when the Runner has none for its current snapshot.
+// Tracing and modules the decoder cannot lower always use the legacy
+// stepper, which defines the semantics.
 func (r *Runner) resolveEngine() Engine {
 	e := r.cfg.Engine
 	if e == EngineAuto {

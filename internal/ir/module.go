@@ -72,10 +72,12 @@ type Module struct {
 	blockBase []int
 	numBlocks int
 
-	// version counts Finalize calls. Consumers that pre-decode the module
-	// (the interpreter's program-image cache) key on (pointer, version) so
-	// a re-finalized module is never served a stale decode.
+	// version counts Finalize calls, so (pointer, version) names one
+	// snapshot for consumers that hold derived data outside the module.
 	version uint64
+
+	// memo holds the values derived from the current snapshot (Derived).
+	memo derivedMemo
 }
 
 // InstrLoc identifies the static position of an instruction.
@@ -137,6 +139,7 @@ func (m *Module) Entry() int {
 // instructions or blocks.
 func (m *Module) Finalize() {
 	m.version++
+	m.dropDerived()
 	m.Instrs = m.Instrs[:0]
 	m.instrLoc = m.instrLoc[:0]
 	m.blockBase = make([]int, len(m.Funcs))
@@ -198,7 +201,8 @@ func (m *Module) InjectableIDs(excludeDup bool) []int {
 }
 
 // Clone returns a deep copy of the module. Transforms (duplication) work
-// on clones so the pristine module can keep serving profiling runs.
+// on clones so the pristine module can keep serving profiling runs. The
+// copy starts with no derived values.
 func (m *Module) Clone() *Module {
 	cp := NewModule(m.Name)
 	for _, g := range m.Globals {

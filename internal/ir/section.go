@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // This file implements the stable section partitioner behind the
@@ -100,25 +99,12 @@ func (ss *SectionSet) FuncSections(fi int) []int {
 	return out
 }
 
-// sectionKey pins a partition to one immutable module snapshot, the same
-// (pointer, version) identity the triage and image caches use.
-type sectionKey struct {
-	mod     *Module
-	version uint64
-}
+type sectionsKey struct{}
 
-var sectionCache sync.Map // sectionKey -> *SectionSet
-
-// PartitionSections returns the memoized section partition of m's current
+// PartitionSections returns the section partition of m's current
 // finalized snapshot, computing it on first use.
 func PartitionSections(m *Module) *SectionSet {
-	key := sectionKey{mod: m, version: m.version}
-	if v, ok := sectionCache.Load(key); ok {
-		return v.(*SectionSet)
-	}
-	ss := partition(m)
-	actual, _ := sectionCache.LoadOrStore(key, ss)
-	return actual.(*SectionSet)
+	return Derived(m, sectionsKey{}, partition)
 }
 
 // partition computes the section partition of m.

@@ -161,7 +161,7 @@ func TestSearchDeterminism(t *testing.T) {
 func TestRandomSearchMode(t *testing.T) {
 	tgt, ref := targetFor(t, "needle")
 	cfg := quickCfg(9)
-	cfg.UseRandomSearch = true
+	cfg.Strategy = StrategyRandom
 	refMeas, err := sid.Measure(tgt.Mod, tgt.Bind(ref), sid.Config{
 		Exec: tgt.Exec, FaultsPerInstr: cfg.FaultsPerInstr, Seed: cfg.Seed,
 	})

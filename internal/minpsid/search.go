@@ -48,10 +48,6 @@ type Config struct {
 	Seed int64
 	// Workers bounds FI parallelism (0 = GOMAXPROCS).
 	Workers int
-	// UseRandomSearch replaces the GA engine with blind random input
-	// search (the Fig. 7 baseline). Equivalent to Strategy ==
-	// StrategyRandom; kept for convenience.
-	UseRandomSearch bool
 	// Strategy selects the search engine (default StrategyGA).
 	Strategy Strategy
 	// Cache memoizes golden runs across fitness evaluations and FI
@@ -106,10 +102,6 @@ func (c Config) Canonical() Config {
 	out.Metrics = nil
 	out.Obs = nil
 	out.Workers = 0
-	if out.UseRandomSearch {
-		out.Strategy = StrategyRandom
-		out.UseRandomSearch = false
-	}
 	if out.Rule == (Rule{}) {
 		out.Rule = DefaultRule()
 	}
@@ -276,11 +268,7 @@ func Search(t Target, cfg Config, refInput inputgen.Input, refMeas *sid.Measurem
 // nextInput produces the next input to FI-measure, via the configured
 // strategy.
 func (e *engine) nextInput() (inputgen.Input, *fault.Golden, float64, bool) {
-	strategy := e.cfg.Strategy
-	if e.cfg.UseRandomSearch {
-		strategy = StrategyRandom
-	}
-	switch strategy {
+	switch e.cfg.Strategy {
 	case StrategyRandom:
 		return e.nextRandom()
 	case StrategyAnneal:

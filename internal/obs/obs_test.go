@@ -15,8 +15,8 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	// neighbors. bits.Len64 semantics: bucket 0 holds v <= 0, bucket i
 	// holds 2^(i-1) <= v < 2^i.
 	cases := []struct {
-		v    int64
-		le   int64 // expected bucket upper bound
+		v  int64
+		le int64 // expected bucket upper bound
 	}{
 		{-5, 0},
 		{0, 0},

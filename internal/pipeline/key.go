@@ -19,7 +19,6 @@ import (
 	"encoding/hex"
 	"hash"
 	"math"
-	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/inputgen"
@@ -111,26 +110,15 @@ func (h *Hasher) Sum() Key {
 	return k
 }
 
-// moduleIdent identifies a module value for hash memoization: modules are
-// immutable between Finalize calls, so (pointer, version) pins the content.
-type moduleIdent struct {
-	m *ir.Module
-	v uint64
-}
-
-var moduleHashes sync.Map // moduleIdent -> Key
+type moduleHashKey struct{}
 
 // ModuleHash returns the content hash of a module: a SHA-256 over its
-// canonical textual rendering. The hash is memoized per (module pointer,
-// version), so repeated keying of the same module is cheap.
+// canonical textual rendering. The hash is memoized on the module's
+// current snapshot, so repeated keying of the same module is cheap.
 func ModuleHash(m *ir.Module) Key {
-	id := moduleIdent{m: m, v: m.Version()}
-	if k, ok := moduleHashes.Load(id); ok {
-		return k.(Key)
-	}
-	k := NewHasher("module").Str(m.String()).Sum()
-	moduleHashes.Store(id, k)
-	return k
+	return ir.Derived(m, moduleHashKey{}, func(m *ir.Module) Key {
+		return NewHasher("module").Str(m.String()).Sum()
+	})
 }
 
 // BindingHash returns the content hash of an input binding (argument
@@ -146,8 +134,8 @@ func BindingHash(bind interp.Binding) Key {
 // identically. The engine choice is deliberately excluded: the two
 // engines (legacy, compiled) are pinned bit-identical by the
 // legacy-vs-compiled differential test suite, so artifacts are shared
-// across engines. Compiled-artifact caching is keyed separately inside
-// internal/interp (module version + compiler version), never here.
+// across engines. Compiled artifacts live on the module they compile
+// (internal/interp), never in the store.
 func ExecHash(cfg interp.Config) Key {
 	h := NewHasher("exec")
 	norm := func(v int64, def int64) int64 {

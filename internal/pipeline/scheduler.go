@@ -68,8 +68,6 @@ type Options struct {
 	// Workers bounds concurrently *running* tasks (0 = GOMAXPROCS).
 	// Tasks waiting on dependencies hold no worker slot.
 	Workers int
-	// MemEntries bounds the in-memory artifact tier (0 = default).
-	MemEntries int
 	// DiskDir, if non-empty, enables the persistent artifact tier rooted
 	// at this directory.
 	DiskDir string
@@ -108,7 +106,7 @@ func New(opts Options) (*Pipeline, error) {
 	p := &Pipeline{
 		sem:      make(chan struct{}, w),
 		inflight: make(map[Key]*flight),
-		mem:      newMemLRU(opts.MemEntries),
+		mem:      newMemLRU(memEntries),
 	}
 	if opts.DiskDir != "" {
 		if err := p.EnableDisk(opts.DiskDir); err != nil {

@@ -33,15 +33,12 @@ type memNode struct {
 	val any
 }
 
-// defaultMemEntries bounds the in-memory tier of a Pipeline built with
-// Options.MemEntries == 0. Campaign outputs are tiny; the large artifacts
-// (measurements, search results) number in the dozens per run.
-const defaultMemEntries = 8192
+// memEntries bounds a Pipeline's in-memory tier. Campaign outputs are
+// tiny; the large artifacts (measurements, search results) number in the
+// dozens per run.
+const memEntries = 8192
 
 func newMemLRU(capacity int) *memLRU {
-	if capacity <= 0 {
-		capacity = defaultMemEntries
-	}
 	return &memLRU{cap: capacity, ll: list.New(), m: make(map[Key]*list.Element)}
 }
 

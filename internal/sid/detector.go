@@ -25,19 +25,19 @@ type Detector interface {
 	Name() string
 	// Applicable reports whether the detector can protect instruction
 	// id. Non-applicable sites contribute no option to the knapsack.
-	Applicable(fx *ModuleFacts, id int) bool
+	Applicable(fa *analysis.Facts, id int) bool
 	// CostFactor scales the site's Eq.-1 cost into this detector's
 	// protection cost, normalized so duplication is exactly 1 (keeping
 	// the dup-only portfolio bit-compatible with the 0-1 knapsack).
-	CostFactor(fx *ModuleFacts, id int) float64
+	CostFactor(fa *analysis.Facts, id int) float64
 	// Coverage estimates, in [0,1], the fraction of model-m faults in
 	// the site's result this detector catches. Duplication is 1 for
 	// every value-local model; weaker detectors consult m's patterns.
-	Coverage(fx *ModuleFacts, id int, m fault.Model) float64
+	Coverage(fa *analysis.Facts, id int, m fault.Model) float64
 	// lower emits the protection code for in (already appended to out)
 	// and returns the instructions to append after it. Successor-block
 	// insertions go through st.
-	lower(st *lowerState, fx *ModuleFacts, f *ir.Function, in *ir.Instr) []*ir.Instr
+	lower(st *lowerState, fa *analysis.Facts, f *ir.Function, in *ir.Instr) []*ir.Instr
 }
 
 // ---- registry ----
@@ -96,88 +96,6 @@ func init() {
 	RegisterDetector(cfgSigDetector{})
 }
 
-// ---- module facts ----
-
-// ModuleFacts bundles the per-module static facts detectors consult:
-// instruction placement, def-use and SSA status per function, and the
-// known-bits lattice per result register. Facts are memoized per
-// finalized module snapshot (pointer, version), mirroring TriageFor.
-type ModuleFacts struct {
-	Mod *ir.Module
-
-	FuncOf  []int // instr ID -> function index
-	BlockOf []int // instr ID -> block index within its function
-	IndexOf []int // instr ID -> instruction index within its block
-
-	SSA  []bool            // per function: single-assignment register form
-	DU   []*analysis.DefUse
-	CFGs []*analysis.CFG
-
-	// Zero/One are the known-bits facts of each instruction's result at
-	// its definition (zero when the function is not SSA or the
-	// instruction has no result). Sound for fault-free execution only.
-	Zero, One []uint64
-}
-
-type factsKey struct {
-	mod     *ir.Module
-	version uint64
-}
-
-var factsCache sync.Map // factsKey -> *ModuleFacts
-
-// FactsFor returns the memoized facts of m's current finalized snapshot.
-func FactsFor(m *ir.Module) *ModuleFacts {
-	key := factsKey{mod: m, version: m.Version()}
-	if v, ok := factsCache.Load(key); ok {
-		return v.(*ModuleFacts)
-	}
-	fx := buildFacts(m)
-	actual, _ := factsCache.LoadOrStore(key, fx)
-	return actual.(*ModuleFacts)
-}
-
-func buildFacts(m *ir.Module) *ModuleFacts {
-	n := m.NumInstrs()
-	fx := &ModuleFacts{
-		Mod:     m,
-		FuncOf:  make([]int, n),
-		BlockOf: make([]int, n),
-		IndexOf: make([]int, n),
-		SSA:     make([]bool, len(m.Funcs)),
-		DU:      make([]*analysis.DefUse, len(m.Funcs)),
-		CFGs:    make([]*analysis.CFG, len(m.Funcs)),
-		Zero:    make([]uint64, n),
-		One:     make([]uint64, n),
-	}
-	for fi, f := range m.Funcs {
-		du := analysis.BuildDefUse(f)
-		cfg := analysis.BuildCFG(f)
-		fx.DU[fi] = du
-		fx.CFGs[fi] = cfg
-		fx.SSA[fi] = du.SingleAssignment
-		var kb *analysis.KnownBits
-		if du.SingleAssignment {
-			kb = analysis.BuildKnownBits(f, cfg)
-		}
-		for bi, b := range f.Blocks {
-			for ii, in := range b.Instrs {
-				fx.FuncOf[in.ID] = fi
-				fx.BlockOf[in.ID] = bi
-				fx.IndexOf[in.ID] = ii
-				if kb != nil && in.HasResult() {
-					fx.Zero[in.ID] = kb.Zero[in.Dst]
-					fx.One[in.ID] = kb.One[in.Dst]
-				}
-			}
-		}
-	}
-	return fx
-}
-
-// instr returns the instruction with the given ID.
-func (fx *ModuleFacts) instr(id int) *ir.Instr { return fx.Mod.Instrs[id] }
-
 // dupInsertedCycles is the per-execution cycle cost duplication inserts
 // at a site: the re-executed instruction plus the compare and detect.
 func dupInsertedCycles(in *ir.Instr) float64 {
@@ -190,25 +108,25 @@ type dupDetector struct{}
 
 func (dupDetector) Name() string { return "dup" }
 
-func (dupDetector) Applicable(fx *ModuleFacts, id int) bool {
-	return Duplicable(fx.instr(id))
+func (dupDetector) Applicable(fa *analysis.Facts, id int) bool {
+	return Duplicable(fa.Mod.Instrs[id])
 }
 
 // CostFactor is exactly 1: the dup-only portfolio must reproduce the
 // 0-1 knapsack's selections bit-for-bit.
-func (dupDetector) CostFactor(fx *ModuleFacts, id int) float64 { return 1 }
+func (dupDetector) CostFactor(fa *analysis.Facts, id int) float64 { return 1 }
 
 // Coverage is 1 for every value-local model: the immediate re-execution
 // is fault-free, so any perturbation of the result (XOR or stuck-at,
 // any mask) makes the comparison fail.
-func (dupDetector) Coverage(fx *ModuleFacts, id int, m fault.Model) float64 {
+func (dupDetector) Coverage(fa *analysis.Facts, id int, m fault.Model) float64 {
 	if !m.Class().ValueLocal {
 		return 0
 	}
 	return 1
 }
 
-func (dupDetector) lower(st *lowerState, fx *ModuleFacts, f *ir.Function, in *ir.Instr) []*ir.Instr {
+func (dupDetector) lower(st *lowerState, fa *analysis.Facts, f *ir.Function, in *ir.Instr) []*ir.Instr {
 	// Byte-compatible with Duplicate: same instructions, registers,
 	// flags, and comments in the same order.
 	dup := in.Clone()
@@ -257,12 +175,13 @@ func (invDetector) Name() string { return "inv" }
 
 // invMasks returns the checkable (zero, one) masks of site id, both
 // zero when the invariant check is unavailable there.
-func invMasks(fx *ModuleFacts, id int) (zero, one uint64) {
-	in := fx.instr(id)
-	if !Duplicable(in) || in.Type != ir.I64 || !fx.SSA[fx.FuncOf[id]] {
+func invMasks(fa *analysis.Facts, id int) (zero, one uint64) {
+	in := fa.Mod.Instrs[id]
+	kb := fa.Known[fa.Mod.Loc(id).Func] // nil unless the function is SSA
+	if !Duplicable(in) || in.Type != ir.I64 || kb == nil {
 		return 0, 0
 	}
-	z, o := fx.Zero[id], fx.One[id]
+	z, o := kb.Zero[in.Dst], kb.One[in.Dst]
 	if z&o != 0 {
 		// Contradictory facts mark unreachable code; nothing to check.
 		return 0, 0
@@ -270,15 +189,15 @@ func invMasks(fx *ModuleFacts, id int) (zero, one uint64) {
 	return z, o
 }
 
-func (invDetector) Applicable(fx *ModuleFacts, id int) bool {
-	z, o := invMasks(fx, id)
+func (invDetector) Applicable(fa *analysis.Facts, id int) bool {
+	z, o := invMasks(fa, id)
 	return z|o != 0
 }
 
 // CostFactor charges the inserted and/compare/detect triple per
 // nonzero half, relative to duplication's inserted cycles at the site.
-func (invDetector) CostFactor(fx *ModuleFacts, id int) float64 {
-	z, o := invMasks(fx, id)
+func (invDetector) CostFactor(fa *analysis.Facts, id int) float64 {
+	z, o := invMasks(fa, id)
 	halves := 0
 	if z != 0 {
 		halves++
@@ -287,22 +206,22 @@ func (invDetector) CostFactor(fx *ModuleFacts, id int) float64 {
 		halves++
 	}
 	per := float64(ir.OpAnd.Cycles() + ir.OpICmp.Cycles() + ir.OpDetect.Cycles())
-	return float64(halves) * per / dupInsertedCycles(fx.instr(id))
+	return float64(halves) * per / dupInsertedCycles(fa.Mod.Instrs[id])
 }
 
 // Coverage replays the model's deterministic patterns against the known
 // masks: an XOR pattern is caught iff it flips a constrained bit, a
 // stuck-at-0 iff it clears a known-one bit, a stuck-at-1 iff it sets a
 // known-zero bit.
-func (invDetector) Coverage(fx *ModuleFacts, id int, m fault.Model) float64 {
+func (invDetector) Coverage(fa *analysis.Facts, id int, m fault.Model) float64 {
 	if !m.Class().ValueLocal {
 		return 0
 	}
-	z, o := invMasks(fx, id)
+	z, o := invMasks(fa, id)
 	if z|o == 0 {
 		return 0
 	}
-	pats := m.Patterns(fx.instr(id).Type.Bits(), 64)
+	pats := m.Patterns(fa.Mod.Instrs[id].Type.Bits(), 64)
 	if len(pats) == 0 {
 		return 0
 	}
@@ -328,8 +247,8 @@ func (invDetector) Coverage(fx *ModuleFacts, id int, m fault.Model) float64 {
 	return float64(caught) / float64(len(pats))
 }
 
-func (invDetector) lower(st *lowerState, fx *ModuleFacts, f *ir.Function, in *ir.Instr) []*ir.Instr {
-	z, o := invMasks(fx, in.ID)
+func (invDetector) lower(st *lowerState, fa *analysis.Facts, f *ir.Function, in *ir.Instr) []*ir.Instr {
+	z, o := invMasks(fa, in.ID)
 	var out []*ir.Instr
 	emit := func(mask, want uint64, tag string) {
 		and := &ir.Instr{
@@ -392,47 +311,48 @@ func (cfgSigDetector) Name() string { return "cfgsig" }
 // FCmp whose single use is the block's conditional branch, with two
 // distinct successors each reachable only through this block (so edge
 // assertions cannot run without the signature being computed).
-func cfgSigSite(fx *ModuleFacts, id int) (f *ir.Function, br *ir.Instr, ok bool) {
-	in := fx.instr(id)
+func cfgSigSite(fa *analysis.Facts, id int) (f *ir.Function, br *ir.Instr, ok bool) {
+	in := fa.Mod.Instrs[id]
 	if in.Op != ir.OpICmp && in.Op != ir.OpFCmp {
 		return nil, nil, false
 	}
 	if !Duplicable(in) {
 		return nil, nil, false
 	}
-	fi := fx.FuncOf[id]
-	if !fx.SSA[fi] {
+	loc := fa.Mod.Loc(id)
+	du := fa.DefUses[loc.Func]
+	if !du.SingleAssignment {
 		return nil, nil, false
 	}
-	f = fx.Mod.Funcs[fi]
-	uses := fx.DU[fi].Uses[in.Dst]
+	f = fa.Mod.Funcs[loc.Func]
+	uses := du.Uses[in.Dst]
 	if len(uses) != 1 {
 		return nil, nil, false
 	}
 	br = uses[0]
-	if br.Op != ir.OpCondBr || fx.BlockOf[br.ID] != fx.BlockOf[id] {
+	if br.Op != ir.OpCondBr || fa.Mod.Loc(br.ID).Block != loc.Block {
 		return nil, nil, false
 	}
 	if len(br.Succs) != 2 || br.Succs[0] == br.Succs[1] {
 		return nil, nil, false
 	}
-	preds := fx.CFGs[fi].Preds
+	preds := fa.CFGs[loc.Func].Preds
 	if len(preds[br.Succs[0]]) != 1 || len(preds[br.Succs[1]]) != 1 {
 		return nil, nil, false
 	}
 	return f, br, true
 }
 
-func (cfgSigDetector) Applicable(fx *ModuleFacts, id int) bool {
-	_, _, ok := cfgSigSite(fx, id)
+func (cfgSigDetector) Applicable(fa *analysis.Facts, id int) bool {
+	_, _, ok := cfgSigSite(fa, id)
 	return ok
 }
 
 // CostFactor charges the mirrored compare on every execution plus the
 // edge assertion (one detect on the true edge, compare+detect on the
 // false edge — averaged), relative to duplication's inserted cycles.
-func (cfgSigDetector) CostFactor(fx *ModuleFacts, id int) float64 {
-	in := fx.instr(id)
+func (cfgSigDetector) CostFactor(fa *analysis.Facts, id int) float64 {
+	in := fa.Mod.Instrs[id]
 	sig := float64(in.Op.Cycles())
 	edge := float64(ir.OpDetect.Cycles())*0.5 +
 		float64(ir.OpICmp.Cycles()+ir.OpDetect.Cycles())*0.5
@@ -443,7 +363,7 @@ func (cfgSigDetector) CostFactor(fx *ModuleFacts, id int) float64 {
 // model's effect narrows onto bit 0, and a flipped condition is caught
 // on whichever edge it diverts the branch to (a narrowed no-op
 // perturbation leaves the value — and the outcome — unchanged).
-func (cfgSigDetector) Coverage(fx *ModuleFacts, id int, m fault.Model) float64 {
+func (cfgSigDetector) Coverage(fa *analysis.Facts, id int, m fault.Model) float64 {
 	if !m.Class().ValueLocal {
 		return 0
 	}
@@ -469,8 +389,8 @@ func mirrorPred(p ir.Pred) ir.Pred {
 	}
 }
 
-func (cfgSigDetector) lower(st *lowerState, fx *ModuleFacts, f *ir.Function, in *ir.Instr) []*ir.Instr {
-	_, br, ok := cfgSigSite(fx, in.ID)
+func (cfgSigDetector) lower(st *lowerState, fa *analysis.Facts, f *ir.Function, in *ir.Instr) []*ir.Instr {
+	_, br, ok := cfgSigSite(fa, in.ID)
 	if !ok {
 		return nil
 	}
@@ -486,7 +406,7 @@ func (cfgSigDetector) lower(st *lowerState, fx *ModuleFacts, f *ir.Function, in 
 	f.NumRegs++
 
 	// True edge: the signature must be true; detect halts on false.
-	st.atBlockHead(fx.FuncOf[in.ID], br.Succs[0], []*ir.Instr{{
+	st.atBlockHead(fa.Mod.Loc(in.ID).Func, br.Succs[0], []*ir.Instr{{
 		Op:      ir.OpDetect,
 		Type:    ir.Void,
 		Dst:     -1,
@@ -509,7 +429,7 @@ func (cfgSigDetector) lower(st *lowerState, fx *ModuleFacts, f *ir.Function, in 
 		Comment: "cfgsig-neg",
 	}
 	f.NumRegs++
-	st.atBlockHead(fx.FuncOf[in.ID], br.Succs[1], []*ir.Instr{inv, {
+	st.atBlockHead(fa.Mod.Loc(in.ID).Func, br.Succs[1], []*ir.Instr{inv, {
 		Op:      ir.OpDetect,
 		Type:    ir.Void,
 		Dst:     -1,

@@ -3,6 +3,7 @@ package sid
 import (
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/fault"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -111,13 +112,13 @@ func TestLowerSelectionDupByteIdentical(t *testing.T) {
 // behaves identically to the original on fault-free runs.
 func TestDetectorLoweringPreservesSemantics(t *testing.T) {
 	m, bind, meas := measureDetKernel(t)
-	fx := FactsFor(m)
+	fa := analysis.FactsFor(m)
 	golden := meas.Golden
 	for _, d := range Detectors() {
 		var chosen []int
 		var names []string
 		for _, in := range m.Instrs {
-			if Duplicable(in) && d.Applicable(fx, in.ID) {
+			if Duplicable(in) && d.Applicable(fa, in.ID) {
 				chosen = append(chosen, in.ID)
 				names = append(names, d.Name())
 			}
@@ -149,26 +150,26 @@ func TestDetectorLoweringPreservesSemantics(t *testing.T) {
 // coverage estimates must stay within [0,1] for every model.
 func TestDetectorCostCoverageBounds(t *testing.T) {
 	m, _, _ := measureDetKernel(t)
-	fx := FactsFor(m)
+	fa := analysis.FactsFor(m)
 	for _, d := range Detectors() {
 		for _, in := range m.Instrs {
-			if !Duplicable(in) || !d.Applicable(fx, in.ID) {
+			if !Duplicable(in) || !d.Applicable(fa, in.ID) {
 				continue
 			}
-			if cf := d.CostFactor(fx, in.ID); cf <= 0 {
+			if cf := d.CostFactor(fa, in.ID); cf <= 0 {
 				t.Fatalf("%s cost factor %v at %d", d.Name(), cf, in.ID)
 			}
 			for _, mod := range fault.Models() {
-				cov := d.Coverage(fx, in.ID, mod)
+				cov := d.Coverage(fa, in.ID, mod)
 				if cov < 0 || cov > 1 {
 					t.Fatalf("%s coverage %v under %s at %d", d.Name(), cov, mod.Name(), in.ID)
 				}
 			}
 			if d.Name() == "dup" {
-				if cf := d.CostFactor(fx, in.ID); cf != 1 {
+				if cf := d.CostFactor(fa, in.ID); cf != 1 {
 					t.Fatalf("dup cost factor %v", cf)
 				}
-				if cov := d.Coverage(fx, in.ID, fault.DefaultModel()); cov != 1 {
+				if cov := d.Coverage(fa, in.ID, fault.DefaultModel()); cov != 1 {
 					t.Fatalf("dup coverage %v", cov)
 				}
 			}
@@ -181,12 +182,12 @@ func TestDetectorCostCoverageBounds(t *testing.T) {
 // not-SDC) outcome for the patterns the detector claims to cover.
 func TestDetectorCatchesClaimedPatterns(t *testing.T) {
 	m, bind, meas := measureDetKernel(t)
-	fx := FactsFor(m)
+	fa := analysis.FactsFor(m)
 	for _, d := range Detectors() {
 		var chosen []int
 		var names []string
 		for _, in := range m.Instrs {
-			if Duplicable(in) && d.Applicable(fx, in.ID) &&
+			if Duplicable(in) && d.Applicable(fa, in.ID) &&
 				meas.Golden.Profile.InstrCount[in.ID] > 0 {
 				chosen = append(chosen, in.ID)
 				names = append(names, d.Name())
@@ -207,7 +208,7 @@ func TestDetectorCatchesClaimedPatterns(t *testing.T) {
 			checked := 0
 			for _, id := range chosen {
 				width := m.Instrs[id].Type.Bits()
-				cov := d.Coverage(fx, id, mod)
+				cov := d.Coverage(fa, id, mod)
 				if cov < 1 {
 					// Partial coverage: pattern-level misses are
 					// legitimate; the full-coverage contract below is

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/analysis"
 	"repro/internal/fault"
 	"repro/internal/ir"
 )
@@ -68,7 +69,7 @@ func SelectPortfolio(m *ir.Module, meas *Measurement, level float64, method Meth
 	if model == nil {
 		model = fault.DefaultModel()
 	}
-	fx := FactsFor(m)
+	fa := analysis.FactsFor(m)
 
 	var items []mckItem
 	var totalBenefit float64
@@ -82,14 +83,14 @@ func SelectPortfolio(m *ir.Module, meas *Measurement, level float64, method Meth
 		}
 		it := mckItem{id: in.ID}
 		for pi, d := range portfolio {
-			if !d.Applicable(fx, in.ID) {
+			if !d.Applicable(fa, in.ID) {
 				continue
 			}
 			it.opts = append(it.opts, mckOption{
 				port:    pi,
 				name:    d.Name(),
-				cost:    meas.Cost[in.ID] * d.CostFactor(fx, in.ID),
-				benefit: meas.Benefit[in.ID] * d.Coverage(fx, in.ID, model),
+				cost:    meas.Cost[in.ID] * d.CostFactor(fa, in.ID),
+				benefit: meas.Benefit[in.ID] * d.Coverage(fa, in.ID, model),
 			})
 		}
 		if len(it.opts) > 0 {
@@ -260,7 +261,7 @@ func LowerSelection(m *ir.Module, sel Selection) *ir.Module {
 		}
 		detOf[id] = d
 	}
-	fx := FactsFor(m)
+	fa := analysis.FactsFor(m)
 	cp := m.Clone() // clone preserves IDs (same instruction order)
 	st := &lowerState{}
 	for _, f := range cp.Funcs {
@@ -269,10 +270,10 @@ func LowerSelection(m *ir.Module, sel Selection) *ir.Module {
 			for _, in := range b.Instrs {
 				out = append(out, in)
 				d, ok := detOf[in.ID]
-				if !ok || !d.Applicable(fx, in.ID) {
+				if !ok || !d.Applicable(fa, in.ID) {
 					continue
 				}
-				out = append(out, d.lower(st, fx, f, in)...)
+				out = append(out, d.lower(st, fa, f, in)...)
 			}
 			b.Instrs = out
 		}

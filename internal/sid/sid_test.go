@@ -2,8 +2,10 @@ package sid
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/fault"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -415,6 +417,26 @@ func main(x int) {
 	}
 	if mulP <= remP {
 		t.Fatalf("output-flowing mul (%.3f) not ranked above address-only rem (%.3f)", mulP, remP)
+	}
+}
+
+// A module the analysis framework cannot certify (unoptimized, with a
+// register written twice) gets the flow heuristic's scores.
+func TestStaticSDCProbFallsBackToHeuristic(t *testing.T) {
+	m, err := minicc.Compile("k.mc", kernelSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := slices.IndexFunc(m.Instrs, func(in *ir.Instr) bool { return in.Op == ir.OpAdd })
+	loc := m.Loc(id)
+	b := m.Funcs[loc.Func].Blocks[loc.Block]
+	b.Instrs = slices.Insert(b.Instrs, loc.Pos+1, m.Instrs[id].Clone())
+	m.Finalize()
+	if analysis.FactsFor(m).SingleAssignment {
+		t.Fatal("module still in single-assignment form")
+	}
+	if got, want := StaticSDCProb(m), HeuristicSDCProb(m); !slices.Equal(got, want) {
+		t.Fatalf("non-SSA StaticSDCProb = %v, want HeuristicSDCProb %v", got, want)
 	}
 }
 

@@ -9,18 +9,16 @@ import (
 // error-propagation graph (analysis v2): per site, the propagation
 // score combines the sound masking/detection bounds (demanded bits,
 // value-range absorption, provable detection) with a def-use walk to
-// the site's observable sinks. It supersedes the hand-shaped
-// AnalysisSDCProb heuristic as the selection-time SDC estimate; the
-// static-rank experiment (cmd/experiments -exp static-rank) measures
-// how well it ranks sites against fault-injection ground truth.
+// the site's observable sinks. The static-rank experiment
+// (cmd/experiments -exp static-rank) measures how well it ranks sites
+// against fault-injection ground truth.
 //
 // Modules the analysis framework cannot certify (non-SSA register
-// reuse) fall back to AnalysisSDCProb, whose shaping needs no SSA
-// facts.
+// reuse) fall back to HeuristicSDCProb, which needs no SSA facts.
 func StaticSDCProb(m *ir.Module) []float64 {
 	fa := analysis.FactsFor(m)
-	if fa == nil || fa.Prop == nil {
-		return AnalysisSDCProb(m)
+	if !fa.SingleAssignment {
+		return HeuristicSDCProb(m)
 	}
 	out := make([]float64, m.NumInstrs())
 	for id := range out {
