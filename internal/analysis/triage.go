@@ -73,6 +73,14 @@ const (
 	// site is counted Detected without execution. Valid only for
 	// always-flipping (XOR) fault classes.
 	ProofDupDetected
+	// ProofUnguarded: the site has no duplicate in a module whose every
+	// detector is a duplication check, so no detector can catch any
+	// perturbation of it (detectproof.go). It rules out only the
+	// Detected outcome, so it never backs a Verdict: phase 2 of a
+	// true-coverage measurement, which counts only Detected replays,
+	// skips such replays as not mitigated. Valid for every value-local
+	// fault class.
+	ProofUnguarded
 )
 
 // ValidFor reports whether a verdict carrying proof p is sound under
@@ -88,7 +96,7 @@ func (p Proof) ValidFor(cl FaultClass) bool {
 		return false
 	}
 	switch p {
-	case ProofDeadValue, ProofDeadStore, ProofStoreShadowed:
+	case ProofDeadValue, ProofDeadStore, ProofStoreShadowed, ProofUnguarded:
 		return true
 	case ProofMaskedBits, ProofRangeMasked:
 		return cl.BitsBounded
@@ -114,6 +122,8 @@ func (p Proof) String() string {
 		return "range-masked"
 	case ProofDupDetected:
 		return "dup-detected"
+	case ProofUnguarded:
+		return "unguarded"
 	default:
 		return "none"
 	}
@@ -151,9 +161,11 @@ type Triage struct {
 	rangeMasked []uint64
 	proof       []Proof
 
-	// detectAll/detectNext are the detection facts (detectproof.go).
+	// detectAll/detectNext/unguarded are the detection facts
+	// (detectproof.go).
 	detectAll  []bool
 	detectNext []bool
+	unguarded  []bool
 
 	// sound is false when the module is not in single-assignment form;
 	// every site is then VerdictUnknown.
@@ -184,6 +196,7 @@ func NewTriage(m *ir.Module) *Triage {
 	t.rangeMasked = fa.RangeMasked
 	t.detectAll = fa.Detect.all
 	t.detectNext = fa.Detect.next
+	t.unguarded = fa.Detect.unguarded
 
 	for fi, f := range m.Funcs {
 		du := fa.DefUses[fi]
@@ -340,6 +353,14 @@ func (t *Triage) ClassifyFor(cl FaultClass, id int, bit uint, mask uint64) (Verd
 		}
 	}
 	return VerdictUnknown, ProofNone
+}
+
+// Unguarded reports whether no detector of the module can catch any
+// fault of class cl at instruction id (ProofUnguarded). False whenever
+// the module is not in single-assignment form or has protection code
+// other than duplication triples.
+func (t *Triage) Unguarded(cl FaultClass, id int) bool {
+	return t.unguarded != nil && ProofUnguarded.ValidFor(cl) && t.unguarded[id]
 }
 
 type triageKey struct{}

@@ -374,15 +374,7 @@ type TrueCoverageReport struct {
 // + SDC) ratio, which also counts detections of faults that would have
 // been masked.)
 func (pr *Protection) EvaluateTrueCoverage(in inputgen.Input, n int, seed int64) (TrueCoverageReport, error) {
-	// Heterogeneous lowerings insert different instruction counts per
-	// site, so the ID translation must come from the module pairing; the
-	// dup-only closed form is kept for the default path.
-	var idMap map[int]int
-	if len(pr.Detectors) > 0 {
-		idMap = sid.InstrMap(pr.Program.Module, pr.Module)
-	} else {
-		idMap = sid.ProtectedMap(pr.Program.Module, pr.Chosen)
-	}
+	idMap := sid.InstrMap(pr.Program.Module, pr.Module)
 	res, err := fault.TrueCoverageOpts(pr.Program.Module, pr.Module, idMap,
 		pr.Program.Bind(in), pr.Program.Exec, fault.CoverageOptions{
 			Trials: n, Seed: seed, Model: pr.model()})

@@ -1,7 +1,9 @@
 package fault
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/benchprog"
@@ -12,6 +14,9 @@ import (
 // level: the Run, PerInstruction and RunSectional tables are identical
 // with checkpoints on and off, and the campaigns with checkpoints on
 // really resumed trials from them (so the comparison is not vacuous).
+// It also pins the instruction accounting: with checkpoints on, the
+// instructions trials executed plus those restores and convergence
+// skipped are the instructions of the same trials run from the start.
 func TestCheckpointCampaignTables(t *testing.T) {
 	benches := benchprog.Eleven()
 	if testing.Short() {
@@ -23,6 +28,7 @@ func TestCheckpointCampaignTables(t *testing.T) {
 		Sec      CampaignResult
 		SecProfs []SectionProfile
 	}
+	var converged int64
 	for _, b := range benches {
 		m, bind, cfg := b.MustModule(), b.Bind(b.Reference), b.ExecConfig()
 		g, err := RunGolden(m, bind, cfg)
@@ -30,24 +36,53 @@ func TestCheckpointCampaignTables(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got [2]tables
-		var ckpt [2]CheckpointStats
+		var snap [2]PhaseSnapshot
+		var rendered strings.Builder
 		for i, off := range []bool{false, true} {
-			pm := NewMetrics().Phase("t")
+			mt := NewMetrics()
+			pm := mt.Phase("t")
 			c := &Campaign{Mod: m, Bind: bind, Cfg: cfg, Golden: g, Workers: 2, Metrics: pm, noCheckpoints: off}
 			got[i].Run = c.Run(120, 7)
 			got[i].PerInstr = c.PerInstruction(2, 7)
 			got[i].Sec, got[i].SecProfs = c.RunSectional(120, 7)
-			ckpt[i] = pm.Snapshot().Checkpoint
+			snap[i] = pm.Snapshot()
+			if !off {
+				if err := mt.Render(&rendered); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 		if !reflect.DeepEqual(got[0], got[1]) {
 			t.Fatalf("%s: campaign tables differ with checkpoints on and off:\non:  %+v\noff: %+v", b.Name, got[0], got[1])
 		}
-		if on := ckpt[0]; on.Captures == 0 || on.Restores == 0 || on.SkippedInstrs == 0 {
-			t.Fatalf("%s: checkpoints on but none used: %+v", b.Name, on)
+		on, off := snap[0], snap[1]
+		if ck := on.Checkpoint; ck.Captures == 0 || ck.Restores == 0 || ck.SkippedInstrs == 0 {
+			t.Fatalf("%s: checkpoints on but none used: %+v", b.Name, ck)
 		}
-		if !reflect.DeepEqual(ckpt[1], CheckpointStats{}) {
-			t.Fatalf("%s: checkpoints off but counted: %+v", b.Name, ckpt[1])
+		if !reflect.DeepEqual(off.Checkpoint, CheckpointStats{}) {
+			t.Fatalf("%s: checkpoints off but counted: %+v", b.Name, off.Checkpoint)
 		}
+		var executedOn, executedOff int64
+		for o := range NumOutcomes {
+			if on.Instrs[o] > off.Instrs[o] {
+				t.Errorf("%s: %s trials executed %d instructions resumed, %d from the start", b.Name, o, on.Instrs[o], off.Instrs[o])
+			}
+			executedOn += on.Instrs[o]
+			executedOff += off.Instrs[o]
+		}
+		if skipped := on.Checkpoint.SkippedInstrs + on.Checkpoint.ConvergedInstrs; executedOn+skipped != executedOff || executedOff == 0 {
+			t.Errorf("%s: %d executed + %d skipped instructions resumed, %d from the start", b.Name, executedOn, skipped, executedOff)
+		}
+		converged += on.Checkpoint.Converged
+		if want := fmt.Sprintf("%d converged, %d instrs converged", on.Checkpoint.Converged, on.Checkpoint.ConvergedInstrs); !strings.Contains(rendered.String(), want) {
+			t.Errorf("%s: -metrics output lacks %q:\n%s", b.Name, want, rendered.String())
+		}
+		if on.Pruned > 0 && !strings.Contains(rendered.String(), "pruned by proof (t): ") {
+			t.Errorf("%s: -metrics output lacks the pruned-by-proof line:\n%s", b.Name, rendered.String())
+		}
+	}
+	if converged == 0 {
+		t.Error("no trial converged to a golden checkpoint")
 	}
 }
 

@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 
+	"repro/internal/analysis"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/obs"
@@ -124,10 +125,25 @@ func ReplayCoverage(prot *ir.Module, idMap map[int]int, bind interp.Binding,
 			Bit: s.Bit, Mask: s.Mask, Op: s.Op})
 	}
 
-	// Phase 2: replay SDC sites against the protected program.
+	// Phase 2: replay SDC sites against the protected program. Only
+	// Detected replays count, and a replay at an unguarded instruction
+	// (analysis.ProofUnguarded) cannot be Detected: it is counted not
+	// mitigated without running it.
 	campP := &Campaign{Mod: prot, Bind: bind, Cfg: exec, Golden: goldenP,
 		Workers: opt.Workers, Model: opt.Model, Metrics: opt.Metrics, Obs: opt.Obs}
-	outcomesP := campP.runSites(replay)
+	m := campP.model()
+	cl, tri := m.Class(), analysis.TriageFor(prot)
+	kept := replay[:0]
+	for _, s := range replay {
+		if !tri.Unguarded(cl, s.InstrID) {
+			kept = append(kept, s)
+		}
+	}
+	if n := int64(len(replay) - len(kept)); n > 0 {
+		opt.Metrics.AddPruned(m.Name(), n)
+		opt.Metrics.AddPrunedProof(analysis.ProofUnguarded.String(), n)
+	}
+	outcomesP := campP.runSites(kept)
 	for _, o := range outcomesP {
 		if o == OutcomeDetected {
 			res.Mitigated++

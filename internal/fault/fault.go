@@ -414,15 +414,13 @@ func (c *Campaign) execSites(sites []interp.Fault) []Outcome {
 	if nw <= 1 {
 		r := interp.NewRunner(c.Mod, cfg)
 		ck := c.capture(sp, r, len(sites))
-		var use resumeStats
+		var ts trialStats
 		busy := time.Now()
 		for i := range sites {
-			// Scratch output: Classify consumes Output before the runner's
-			// next run reuses the buffer, so the per-trial copy is waste.
-			outcomes[i] = Classify(c.Golden, use.run(r, ck, c.Bind, &sites[i]))
+			outcomes[i] = ts.trial(r, ck, c.Golden, c.Bind, &sites[i])
 		}
 		c.Metrics.AddBusy(time.Since(busy))
-		c.noteResumes(use)
+		c.noteTrials(ts)
 		c.finishSites(outcomes, 1, t0)
 		return outcomes
 	}
@@ -448,15 +446,14 @@ func (c *Campaign) execSites(sites []interp.Fault) []Outcome {
 		go func(r *interp.Runner) {
 			defer wg.Done()
 			var busy time.Duration
-			var use resumeStats
+			var ts trialStats
 			for i := range next {
 				t := time.Now()
-				res := use.run(r, ck, c.Bind, &sites[i])
+				outcomes[i] = ts.trial(r, ck, c.Golden, c.Bind, &sites[i])
 				busy += time.Since(t)
-				outcomes[i] = Classify(c.Golden, res)
 			}
 			c.Metrics.AddBusy(busy)
-			c.noteResumes(use)
+			c.noteTrials(ts)
 		}(runners[w])
 	}
 	wg.Wait()
@@ -505,33 +502,61 @@ func (c *Campaign) capture(batch *obs.Span, r *interp.Runner, n int) *interp.Che
 	return ck
 }
 
-// resumeStats counts one worker's checkpoint restores.
-type resumeStats struct {
-	restores, skipped int64
+// trialStats counts one worker's trials: checkpoint restores and the
+// golden prefix they skipped, trials that converged to a golden
+// checkpoint and the suffix they skipped, and the instructions the
+// trials executed, per outcome.
+type trialStats struct {
+	restores, skipped          int64
+	converged, convergedInstrs int64
+	instrs                     [NumOutcomes]int64
 }
 
-// run executes one trial: resumed from ck when the batch captured
-// checkpoints, from the start otherwise.
-func (u *resumeStats) run(r *interp.Runner, ck *interp.Checkpoints, bind interp.Binding, f *interp.Fault) interp.Result {
+// trial executes and classifies one trial: resumed from ck when the batch
+// captured checkpoints, from the start otherwise.
+func (u *trialStats) trial(r *interp.Runner, ck *interp.Checkpoints, g *Golden, bind interp.Binding, f *interp.Fault) Outcome {
+	// Scratch output: Classify consumes Output before the runner's next
+	// run reuses the buffer, so the per-trial copy is waste.
+	var res interp.Result
+	var skip interp.Skip
 	if ck == nil {
-		return r.RunScratch(bind, f, nil)
+		res = r.RunScratch(bind, f, nil)
+	} else {
+		res, skip = r.Resume(ck, f)
 	}
-	res, skipped := r.Resume(ck, f)
-	if skipped > 0 {
+	if skip.Prefix > 0 {
 		u.restores++
-		u.skipped += skipped
+		u.skipped += skip.Prefix
 	}
-	return res
+	if skip.Suffix > 0 {
+		u.converged++
+		u.convergedInstrs += skip.Suffix
+	}
+	o := Classify(g, res)
+	u.instrs[o] += res.DynInstrs - skip.Total()
+	return o
 }
 
-// noteResumes folds one worker's restores into the campaign metrics.
-func (c *Campaign) noteResumes(u resumeStats) {
-	if u.restores == 0 {
-		return
+// noteTrials folds one worker's trial counts into the campaign metrics.
+func (c *Campaign) noteTrials(u trialStats) {
+	for o, n := range u.instrs {
+		if n > 0 {
+			c.Obs.Counter("fault.instrs." + Outcome(o).String()).Add(n)
+		}
 	}
-	c.Obs.Counter("fault.checkpoint.restores").Add(u.restores)
-	c.Obs.Counter("fault.checkpoint.skipped_instrs").Add(u.skipped)
-	c.Metrics.AddCheckpoint(CheckpointStats{Restores: u.restores, SkippedInstrs: u.skipped})
+	c.Metrics.AddInstrs(u.instrs)
+	if u.restores > 0 {
+		c.Obs.Counter("fault.checkpoint.restores").Add(u.restores)
+		c.Obs.Counter("fault.checkpoint.skipped_instrs").Add(u.skipped)
+	}
+	if u.converged > 0 {
+		c.Obs.Counter("fault.checkpoint.converged").Add(u.converged)
+		c.Obs.Counter("fault.checkpoint.converged_instrs").Add(u.convergedInstrs)
+	}
+	if u.restores > 0 || u.converged > 0 {
+		c.Metrics.AddCheckpoint(CheckpointStats{Restores: u.restores, SkippedInstrs: u.skipped,
+			Converged: u.converged, ConvergedInstrs: u.convergedInstrs})
+	}
 }
 
 // finishSites folds one runSites batch into the campaign metrics.

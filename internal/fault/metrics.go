@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 	"text/tabwriter"
 	"time"
@@ -73,18 +74,22 @@ type PhaseMetrics struct {
 	busy          time.Duration
 	maxWorkers    int
 	checkpoint    CheckpointStats
+	instrs        [NumOutcomes]int64
 }
 
 // CheckpointStats counts golden-checkpoint use (interp.Checkpoints):
-// capture runs, trials resumed from a checkpoint, the golden-prefix
-// instructions those trials did not execute, and the batches that ran
-// every trial from the start, per reason ("small_batch", "spawn",
-// "legacy", "capture_mismatch").
+// capture runs, trials resumed from a checkpoint and the golden-prefix
+// instructions they did not execute, trials that converged to a golden
+// checkpoint and the golden-suffix instructions they did not execute,
+// and the batches that ran every trial from the start, per reason
+// ("small_batch", "spawn", "legacy", "capture_mismatch").
 type CheckpointStats struct {
-	Captures      int64            `json:"captures"`
-	Restores      int64            `json:"restores"`
-	SkippedInstrs int64            `json:"skipped_instrs"`
-	Fallbacks     map[string]int64 `json:"fallbacks,omitempty"`
+	Captures        int64            `json:"captures"`
+	Restores        int64            `json:"restores"`
+	SkippedInstrs   int64            `json:"skipped_instrs"`
+	Converged       int64            `json:"converged"`
+	ConvergedInstrs int64            `json:"converged_instrs"`
+	Fallbacks       map[string]int64 `json:"fallbacks,omitempty"`
 }
 
 // add accumulates o into s.
@@ -92,6 +97,8 @@ func (s *CheckpointStats) add(o CheckpointStats) {
 	s.Captures += o.Captures
 	s.Restores += o.Restores
 	s.SkippedInstrs += o.SkippedInstrs
+	s.Converged += o.Converged
+	s.ConvergedInstrs += o.ConvergedInstrs
 	for k, v := range o.Fallbacks {
 		if s.Fallbacks == nil {
 			s.Fallbacks = make(map[string]int64)
@@ -102,20 +109,26 @@ func (s *CheckpointStats) add(o CheckpointStats) {
 
 // String renders the stats one-liner printed by the -metrics CLIs.
 func (s CheckpointStats) String() string {
-	line := fmt.Sprintf("checkpoints: %d captures, %d restores, %d instrs skipped", s.Captures, s.Restores, s.SkippedInstrs)
-	reasons := make([]string, 0, len(s.Fallbacks))
-	for k := range s.Fallbacks {
-		reasons = append(reasons, k)
-	}
-	sort.Strings(reasons)
-	for i, k := range reasons {
-		sep := ", "
-		if i == 0 {
-			sep = "; fallbacks: "
-		}
-		line += fmt.Sprintf("%s%s %d", sep, k, s.Fallbacks[k])
+	line := fmt.Sprintf("checkpoints: %d captures, %d restores, %d instrs skipped, %d converged, %d instrs converged",
+		s.Captures, s.Restores, s.SkippedInstrs, s.Converged, s.ConvergedInstrs)
+	if len(s.Fallbacks) > 0 {
+		line += "; fallbacks: " + countList(s.Fallbacks)
 	}
 	return line
+}
+
+// countList renders counts as "key n, key n" in key order.
+func countList(counts map[string]int64) string {
+	keys := make([]string, 0, len(counts))
+	for k := range counts {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	parts := make([]string, len(keys))
+	for i, k := range keys {
+		parts[i] = fmt.Sprintf("%s %d", k, counts[k])
+	}
+	return strings.Join(parts, ", ")
 }
 
 // AddCheckpoint folds checkpoint use (captures, restores, skipped
@@ -126,6 +139,18 @@ func (p *PhaseMetrics) AddCheckpoint(s CheckpointStats) {
 	}
 	p.mu.Lock()
 	p.checkpoint.add(s)
+	p.mu.Unlock()
+}
+
+// AddInstrs adds the instructions executed trials ran, per outcome.
+func (p *PhaseMetrics) AddInstrs(n [NumOutcomes]int64) {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	for o, k := range n {
+		p.instrs[o] += k
+	}
 	p.mu.Unlock()
 }
 
@@ -271,6 +296,9 @@ type PhaseSnapshot struct {
 	Busy          time.Duration    `json:"busy_ns"` // summed per-worker execution time
 	MaxWorkers    int              `json:"max_workers"`
 	Checkpoint    CheckpointStats  `json:"checkpoint"`
+	// Instrs counts the instructions executed trials ran, per outcome:
+	// each trial's DynInstrs less what checkpoints let it skip.
+	Instrs [NumOutcomes]int64 `json:"instrs"`
 }
 
 // HitRate returns the cache hit fraction (0 when the phase saw no lookups).
@@ -332,6 +360,7 @@ func (p *PhaseMetrics) Snapshot() PhaseSnapshot {
 		Busy:          p.busy,
 		MaxWorkers:    p.maxWorkers,
 		Checkpoint:    ckpt,
+		Instrs:        p.instrs,
 	}
 }
 
@@ -368,6 +397,7 @@ func (m *Metrics) Publish(reg *obs.Registry) {
 		reg.Counter(prefix + "trials").Add(s.Trials)
 		for o := Outcome(0); o < NumOutcomes; o++ {
 			reg.Counter(prefix + "outcome." + o.String()).Add(s.Outcomes[o])
+			reg.Counter(prefix + "instrs." + o.String()).Add(s.Instrs[o])
 		}
 		reg.Counter(prefix + "shortfall").Add(s.Shortfall)
 		reg.Counter(prefix + "pruned").Add(s.Pruned)
@@ -386,6 +416,8 @@ func (m *Metrics) Publish(reg *obs.Registry) {
 		reg.Counter(prefix + "checkpoint.captures").Add(s.Checkpoint.Captures)
 		reg.Counter(prefix + "checkpoint.restores").Add(s.Checkpoint.Restores)
 		reg.Counter(prefix + "checkpoint.skipped_instrs").Add(s.Checkpoint.SkippedInstrs)
+		reg.Counter(prefix + "checkpoint.converged").Add(s.Checkpoint.Converged)
+		reg.Counter(prefix + "checkpoint.converged_instrs").Add(s.Checkpoint.ConvergedInstrs)
 		for reason, n := range s.Checkpoint.Fallbacks {
 			reg.Counter(prefix + "checkpoint.fallbacks." + reason).Add(n)
 		}
@@ -415,6 +447,11 @@ func (m *Metrics) Render(w io.Writer) error {
 	}
 	if err := tw.Flush(); err != nil {
 		return err
+	}
+	for _, s := range snaps {
+		if len(s.PrunedByProof) > 0 {
+			fmt.Fprintf(w, "pruned by proof (%s): %s\n", s.Name, countList(s.PrunedByProof))
+		}
 	}
 	var ckpt CheckpointStats
 	for _, s := range snaps {

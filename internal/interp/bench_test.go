@@ -1,6 +1,7 @@
 package interp_test
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/benchprog"
@@ -55,12 +56,15 @@ func BenchmarkRunFault(b *testing.B) {
 }
 
 // BenchmarkRunFaultCheckpointed is BenchmarkRunFault for a trial resumed
-// from a golden checkpoint, the way campaigns run their trials: the site
-// is the hottest instruction's middle instance, and a zero stuck-at mask
-// leaves the value unchanged, so the trial runs the whole golden suffix
-// after its restore point. ns/instr divides by the full dynamic count, so
-// it reads as the whole trial's cost per instruction of a run from the
-// start.
+// from a golden checkpoint, the way campaigns run their trials. In
+// /compiled the site is the middle instance of the hottest instruction
+// whose bit-0 flip persists to the end of a full-length run, so the
+// trial never converges and runs the whole suffix after its restore
+// point. In /converged a zero-mask stuck-at at the hottest instruction's
+// middle instance leaves the value unchanged, so the trial converges at
+// the next checkpoint and ends there. ns/instr divides by the full
+// dynamic count, so it reads as the whole trial's cost per instruction
+// of a run from the start.
 func BenchmarkRunFaultCheckpointed(b *testing.B) {
 	bm, ok := benchprog.ByName("hpccg")
 	if !ok {
@@ -69,32 +73,51 @@ func BenchmarkRunFaultCheckpointed(b *testing.B) {
 	m, bind := bm.MustModule(), bm.Bind(bm.Reference)
 	prof := interp.NewProfile(m)
 	golden := interp.NewRunner(m, bm.ExecConfig()).Run(bind, nil, prof)
-	hot := 0
-	for id, n := range prof.InstrCount {
-		if n > prof.InstrCount[hot] {
-			hot = id
-		}
-	}
+	byCount := m.InjectableIDs(false)
+	sort.SliceStable(byCount, func(i, j int) bool { return prof.InstrCount[byCount[i]] > prof.InstrCount[byCount[j]] })
 	cfg := bm.ExecConfig()
 	cfg.MaxDynInstrs = golden.DynInstrs*20 + 10_000
 	ck, err := interp.NewRunner(m, cfg).Capture(bind, golden.DynInstrs/33, 4<<20)
 	if err != nil {
 		b.Fatal(err)
 	}
-	f := interp.Fault{InstrID: hot, DynIndex: prof.InstrCount[hot] / 2, Op: interp.FaultStuckAt0}
-	b.Run("compiled", func(b *testing.B) {
-		r := interp.NewRunner(m, cfg)
-		var dyn int64
-		for i := 0; i < b.N; i++ {
-			ff := f
-			res, _ := r.Resume(ck, &ff)
-			if res.Status != interp.StatusOK {
-				b.Fatalf("status %v (%s)", res.Status, res.Trap)
-			}
-			dyn = res.DynInstrs
+	r := interp.NewRunner(m, cfg)
+	site := func(id int) interp.Fault { return interp.Fault{InstrID: id, DynIndex: prof.InstrCount[id] / 2} }
+	var persist *interp.Fault
+	for _, id := range byCount {
+		f := site(id)
+		if res, skip := r.Resume(ck, &f); res.Status == interp.StatusOK && res.DynInstrs == golden.DynInstrs && skip.Suffix == 0 {
+			persist = &f
+			break
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(dyn)/float64(b.N), "ns/instr")
-	})
+	}
+	if persist == nil {
+		b.Fatal("no persisting full-length site")
+	}
+	zero := site(byCount[0])
+	zero.Op = interp.FaultStuckAt0
+	for _, c := range []struct {
+		name     string
+		f        interp.Fault
+		converge bool
+	}{{"compiled", *persist, false}, {"converged", zero, true}} {
+		b.Run(c.name, func(b *testing.B) {
+			r := interp.NewRunner(m, cfg)
+			var dyn int64
+			for i := 0; i < b.N; i++ {
+				ff := c.f
+				res, skip := r.Resume(ck, &ff)
+				if res.Status != interp.StatusOK {
+					b.Fatalf("status %v (%s)", res.Status, res.Trap)
+				}
+				if (skip.Suffix > 0) != c.converge {
+					b.Fatalf("site %+v: converged %v, want %v", c.f, skip.Suffix > 0, c.converge)
+				}
+				dyn = res.DynInstrs
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(dyn)/float64(b.N), "ns/instr")
+		})
+	}
 }
 
 func benchRunBound(b *testing.B, r *interp.Runner, bind interp.Binding, f *interp.Fault, withProf bool, bm *benchprog.Benchmark) {

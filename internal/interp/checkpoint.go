@@ -36,6 +36,18 @@ import (
 // Only single-threaded modules are captured: a spawning module's state
 // includes the round-robin schedule's position inside each thread's
 // quantum, which is not a dispatch-boundary property of one thread.
+//
+// Checkpoints sit at quantum boundaries: the capture takes each one at
+// the end of the quantum in which its due instruction count was crossed.
+// A trial restored there runs its quanta in step with the capture's, so
+// after its fault has fired it can compare its state with each later
+// checkpoint between quanta, at no per-dispatch cost. When the state
+// equals a checkpoint's exactly (same nDyn, cycles, frames, registers,
+// memory and output length), the rest of the trial is the capture's
+// suffix: execution reads nothing the comparison left out, and the
+// output is only ever appended to. The trial then ends early with its
+// own output prefix followed by the capture's remaining output
+// (converging to golden, as GangES ends error simulations).
 
 // Capture refusals: why a Runner cannot checkpoint its module.
 var (
@@ -145,8 +157,8 @@ func (r *Runner) Capture(bind Binding, every, budget int64) (*Checkpoints, error
 	return ck, nil
 }
 
-// quantumCapture is quantumCompiled for capture runs: after each dispatch
-// it takes the checkpoint that has come due.
+// quantumCapture is quantumCompiled for capture runs: at the end of a
+// quantum it takes the checkpoint that has come due.
 func (r *Runner) quantumCapture(cs *capture, t *thread, q int) {
 	if t.done || t.joining || r.halted {
 		return
@@ -165,9 +177,9 @@ func (r *Runner) quantumCapture(cs *capture, t *thread, q int) {
 		if !cHandlers[in.op](r, t, fr, in) {
 			return
 		}
-		if r.nDyn >= cs.next {
-			cs.take(r, t)
-		}
+	}
+	if r.nDyn >= cs.next {
+		cs.take(r, t)
 	}
 }
 
@@ -276,41 +288,159 @@ func (c *Compiled) funcOf(code []iword) *cfunc {
 	panic("interp: frame code belongs to no compiled function")
 }
 
+// Skip counts the golden-run instructions a resumed trial did not
+// execute: Prefix before its restore point, and Suffix after the point
+// where it converged to a golden checkpoint (zero when it did not).
+type Skip struct{ Prefix, Suffix int64 }
+
+// Total returns every instruction the trial skipped.
+func (s Skip) Total() int64 { return s.Prefix + s.Suffix }
+
 // Resume runs a fault-armed trial from the last checkpoint of ck whose
 // flip-opportunity count for the fault's instruction is at most its
-// DynIndex, or from the start when there is none (or when ck was captured
-// for another module, artifact or configuration). Like RunScratch, the
-// Result's Output aliases the Runner's buffer; it is identical to
-// RunScratch(bind, fault, nil) with ck's binding. skipped is the number
-// of golden-prefix instructions the restore did not execute.
-func (r *Runner) Resume(ck *Checkpoints, fault *Fault) (res Result, skipped int64) {
-	p := ck.restorePoint(fault)
-	if p == nil || r.cfg != ck.cfg || r.resolveEngine() != EngineCompiled || r.comp != ck.comp {
-		return r.run(ck.bind, fault, nil, false), 0
+// DynIndex, or from the start when there is none. Once the fault has
+// fired, the trial ends early if its state converges to a later
+// checkpoint. Like RunScratch, the Result's Output aliases the Runner's
+// buffer; it is identical to RunScratch(bind, fault, nil) with ck's
+// binding. When ck was captured for another module, artifact or
+// configuration, the trial runs from the start without either shortcut.
+func (r *Runner) Resume(ck *Checkpoints, fault *Fault) (res Result, skip Skip) {
+	if fault == nil || r.cfg != ck.cfg || r.resolveEngine() != EngineCompiled || r.comp != ck.comp {
+		return r.run(ck.bind, fault, nil, false), Skip{}
 	}
-	r.restore(ck, p)
-	r.arm(fault, nil)
-	r.faultSeen = p.flip(fault.InstrID)
+	next := ck.restoreIndex(fault) // pts[next:] lie after the restore point
+	if next == 0 {
+		r.setup(ck.bind)
+		r.arm(fault, nil)
+		r.enterMain(r.newThread(), ck.bind.Args)
+	} else {
+		p := &ck.pts[next-1]
+		r.restore(ck, p)
+		r.arm(fault, nil)
+		r.faultSeen = p.flip(fault.InstrID)
+		skip.Prefix = p.nDyn
+	}
 	rc := obsCounters.Load()
-	r.schedule(r.quantumCompiled)
+	r.miss = stateWord{region: missNone}
+	var conv *checkpoint
+	r.schedule(func(t *thread, q int) {
+		r.quantumCompiled(t, q)
+		if r.halted || t.done || r.faultSeen <= fault.DynIndex {
+			return
+		}
+		for next < len(ck.pts) && ck.pts[next].nDyn < r.nDyn {
+			next++
+		}
+		if next < len(ck.pts) && ck.pts[next].nDyn == r.nDyn && r.matches(&ck.pts[next], t) {
+			conv = &ck.pts[next]
+			r.halted = true
+		}
+	})
+	if conv != nil {
+		skip.Suffix = ck.res.DynInstrs - conv.nDyn
+		r.out = append(r.out, ck.res.Output[len(r.out):]...)
+		r.status, r.trap = ck.res.Status, ck.res.Trap
+		r.nDyn, r.cycles = ck.res.DynInstrs, ck.res.Cycles
+	}
 	res = r.result(false)
 	if rc != nil {
-		rc.recordRun(&res, EngineCompiled, nil, 0, p.nDyn)
+		rc.recordRun(&res, EngineCompiled, nil, 0, skip.Total())
 	}
-	return res, p.nDyn
+	return res, skip
 }
 
-// restorePoint returns the checkpoint a trial with fault resumes from, or
-// nil. Flip counts never decrease from one checkpoint to the next.
-func (ck *Checkpoints) restorePoint(fault *Fault) *checkpoint {
-	if fault == nil || len(ck.pts) == 0 || fault.InstrID < 0 || fault.InstrID >= len(ck.comp.img.mod.Instrs) {
-		return nil
+// restoreIndex returns how many checkpoints precede the injection point
+// of fault: a trial resumes from pts[restoreIndex-1], or from the start
+// when it is 0. Flip counts never decrease from one checkpoint to the
+// next.
+func (ck *Checkpoints) restoreIndex(fault *Fault) int {
+	if fault.InstrID < 0 || fault.InstrID >= len(ck.comp.img.mod.Instrs) {
+		return 0
 	}
-	i := sort.Search(len(ck.pts), func(i int) bool { return ck.pts[i].flip(fault.InstrID) > fault.DynIndex })
-	if i == 0 {
-		return nil
+	return sort.Search(len(ck.pts), func(i int) bool { return ck.pts[i].flip(fault.InstrID) > fault.DynIndex })
+}
+
+// stateWord locates one word of a trial's machine state: a register of
+// frame region, or a memory word when region is missMem.
+type stateWord struct{ region, word int }
+
+const (
+	missNone = -2 // no mismatch seen yet
+	missMem  = -1
+)
+
+// matches reports whether the running trial's state equals checkpoint p,
+// which was taken at the trial's current nDyn. It first re-checks the
+// word that mismatched at the trial's previous comparison, since a
+// corruption that persists usually stays in place, and records the first
+// mismatching word it finds.
+func (r *Runner) matches(p *checkpoint, t *thread) bool {
+	if r.cycles != p.cycles || t.sp != p.sp || t.callDepth != p.callDepth ||
+		len(t.frames) != len(p.frames) || len(r.out) != len(p.out) {
+		return false
 	}
-	return &ck.pts[i-1]
+	for i := range t.frames {
+		fr, pf := &t.frames[i], &p.frames[i]
+		if &fr.code[0] != &pf.code[0] || fr.pc != pf.pc || fr.retDst != pf.retDst ||
+			fr.spSave != pf.spSave || fr.callID != pf.callID || fr.callTBits != pf.callTBits ||
+			fr.phiSrc != pf.phiSrc || fr.midOff != pf.midOff {
+			return false
+		}
+	}
+	if m := r.miss; m.region == missMem {
+		if m.word < len(r.mem) && pagedWord(p.mem, m.word) != r.mem[m.word] {
+			return false
+		}
+	} else if m.region >= 0 && m.region < len(t.frames) {
+		if regs := t.frames[m.region].regs; m.word < len(regs) && pagedWord(p.regs[m.region], m.word) != regs[m.word] {
+			return false
+		}
+	}
+	for i := range t.frames {
+		if w := firstDiff(p.regs[i], t.frames[i].regs); w >= 0 {
+			r.miss = stateWord{region: i, word: w}
+			return false
+		}
+	}
+	if w := firstDiff(p.mem, r.mem); w >= 0 {
+		r.miss = stateWord{region: missMem, word: w}
+		return false
+	}
+	return true
+}
+
+// pagedWord returns word w of the paged words pgs, or zero past them.
+func pagedWord(pgs [][]uint64, w int) uint64 {
+	if pg := w / ckPage; pg < len(pgs) && w%ckPage < len(pgs[pg]) {
+		return pgs[pg][w%ckPage]
+	}
+	return 0
+}
+
+// firstDiff returns the index of the first word of cur that differs from
+// the paged words pgs, reading words past the pages as zero, or -1 when
+// there is none.
+func firstDiff(pgs [][]uint64, cur []uint64) int {
+	off := 0
+	for _, pg := range pgs {
+		if off+len(pg) > len(cur) {
+			return off // the checkpoint holds more words than cur
+		}
+		if !slices.Equal(pg, cur[off:off+len(pg)]) {
+			for j, w := range pg {
+				if cur[off+j] != w {
+					return off + j
+				}
+			}
+		}
+		off += len(pg)
+	}
+	for j := off; j < len(cur); j++ {
+		if cur[j] != 0 {
+			return j
+		}
+	}
+	return -1
 }
 
 // restore loads checkpoint p of ck into the Runner's machine state.

@@ -66,9 +66,9 @@ func newCkFixture(t testing.TB, name string, m *ir.Module, bind interp.Binding, 
 }
 
 // ckCompare runs f resumed from the fixture's checkpoints and from the
-// start and fails on any observable difference. It returns the number of
-// instructions the restore skipped.
-func ckCompare(t testing.TB, fx *ckFixture, resumed, fresh *interp.Runner, label string, f interp.Fault) int64 {
+// start and fails on any observable difference. It returns what the
+// resumed trial skipped.
+func ckCompare(t testing.TB, fx *ckFixture, resumed, fresh *interp.Runner, label string, f interp.Fault) interp.Skip {
 	t.Helper()
 	fw := f
 	want := fresh.Run(fx.bind, &fw, nil)
@@ -76,7 +76,7 @@ func ckCompare(t testing.TB, fx *ckFixture, resumed, fresh *interp.Runner, label
 	if got.Status != want.Status || got.Trap != want.Trap ||
 		got.DynInstrs != want.DynInstrs || got.Cycles != want.Cycles ||
 		got.OutputHash != want.OutputHash || !eqWords(got.Output, want.Output) {
-		t.Fatalf("%s %s %+v: resumed (skipped %d) %v %q dyn=%d cyc=%d hash=%#x out=%d words; from start %v %q dyn=%d cyc=%d hash=%#x out=%d words",
+		t.Fatalf("%s %s %+v: resumed (skipped %+v) %v %q dyn=%d cyc=%d hash=%#x out=%d words; from start %v %q dyn=%d cyc=%d hash=%#x out=%d words",
 			fx.name, label, f, skipped, got.Status, got.Trap, got.DynInstrs, got.Cycles, got.OutputHash, len(got.Output),
 			want.Status, want.Trap, want.DynInstrs, want.Cycles, want.OutputHash, len(want.Output))
 	}
@@ -213,6 +213,60 @@ func (fx *ckFixture) staleStackSite() (f interp.Fault, ok bool) {
 	return f, ok
 }
 
+// convergeSites returns faults, labeled by kind, whose trials re-join the
+// golden run at a checkpoint after their fault fired: on every module a
+// zero-effect stuck-at on the hottest instruction, and on the converge
+// program a flip of the value that is stored and then overwritten
+// ("overwritten") and a flip of the value only an emit reads
+// ("emitted-sdc", which converges with a corrupted output prefix). Each
+// instance lies at the middle checkpoint's flip count of its instruction.
+func (fx *ckFixture) convergeSites() (labels []string, sites []interp.Fault) {
+	if fx.ck.Len() < 2 {
+		return nil, nil
+	}
+	add := func(label string, id int, op interp.FaultOp) {
+		if k := interp.CheckpointFlips(fx.ck, fx.ck.Len()/2, id); k < fx.g.Profile.InstrCount[id] {
+			labels = append(labels, label)
+			sites = append(sites, interp.Fault{InstrID: id, DynIndex: k, Op: op})
+		}
+	}
+	add("zero-stuck-at", fx.hotID, interp.FaultStuckAt0) // Mask 0: the value is unchanged
+	if fx.name != "converge" {
+		return labels, sites
+	}
+	for _, in := range fx.m.Instrs {
+		if in.Op != ir.OpMul || in.Args[1].Kind != ir.OperConst {
+			continue
+		}
+		switch in.Args[1].Imm {
+		case 3:
+			add("overwritten", in.ID, interp.FaultXor)
+		case 7:
+			add("emitted-sdc", in.ID, interp.FaultXor)
+		}
+	}
+	return labels, sites
+}
+
+// convergeProgram, compiled without optimization, holds the two faults
+// that change the state and still re-join golden: the value of r * 3 is
+// stored to t and overwritten by the next statement before any load, and
+// r * 7 is read only by the emit, so its flip corrupts one output word.
+// Both registers are rewritten in the next iteration.
+const convergeProgram = `
+func main(n int) {
+	var t int = 0;
+	var s int = 0;
+	for (var r int = 0; r < 300; r = r + 1) {
+		t = r * 3;
+		t = r + n;
+		s = s + t;
+		emiti(r * 7);
+	}
+	emiti(s);
+}
+`
+
 // stackProgram, compiled without optimization, covers what the
 // benchmarks do not: it keeps its data on the stack (fill's locals stay
 // behind above sp after it returns, where the stale-stack site points a
@@ -248,7 +302,7 @@ type ckModule struct {
 }
 
 // checkpointModules returns every benchmark and the stack program, each
-// unprotected and fully duplicated.
+// unprotected and fully duplicated, and the converge program.
 func checkpointModules(t *testing.T) []ckModule {
 	stack, err := minicc.Compile("stack.mc", stackProgram)
 	if err != nil {
@@ -265,6 +319,11 @@ func checkpointModules(t *testing.T) []ckModule {
 		add(b.Name, b.MustModule(), b.Bind(b.Reference), b.ExecConfig())
 	}
 	add("stack", stack, interp.Binding{Args: []uint64{5}}, interp.Config{})
+	conv, err := minicc.Compile("converge.mc", convergeProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mods = append(mods, ckModule{"converge", conv, interp.Binding{Args: []uint64{4}}, interp.Config{}})
 	return mods
 }
 
@@ -274,6 +333,7 @@ func TestCheckpointDifferential(t *testing.T) {
 		nSites = 2
 	}
 	var liveCalls, staleLoads, foldFeeds atomic.Int64
+	var converged sync.Map // convergeSites kind -> *atomic.Int64
 	t.Run("modules", func(t *testing.T) {
 		for _, cm := range checkpointModules(t) {
 			cm := cm
@@ -307,7 +367,7 @@ func TestCheckpointDifferential(t *testing.T) {
 						if !ok {
 							t.Fatal("no injectable sites")
 						}
-						if ckCompare(t, fx, resumed, fresh, mn+"/seeded", f) > 0 {
+						if ckCompare(t, fx, resumed, fresh, mn+"/seeded", f).Prefix > 0 {
 							restores++
 						}
 					}
@@ -318,7 +378,7 @@ func TestCheckpointDifferential(t *testing.T) {
 						}
 						f.DynIndex = dyn[j]
 						skipped := ckCompare(t, fx, resumed, fresh, mn+"/"+labels[j], f)
-						if labels[j] != "first-instance" && labels[j] != "last-instance" && skipped == 0 {
+						if labels[j] != "first-instance" && labels[j] != "last-instance" && skipped.Prefix == 0 {
 							t.Fatalf("%s site ran from the start", labels[j])
 						}
 						switch labels[j] {
@@ -329,8 +389,20 @@ func TestCheckpointDifferential(t *testing.T) {
 						}
 					}
 				}
+				cLabels, cSites := fx.convergeSites()
+				for j, f := range cSites {
+					skipped := ckCompare(t, fx, resumed, fresh, cLabels[j], f)
+					if skipped.Suffix == 0 {
+						t.Fatalf("%s site %+v did not converge", cLabels[j], f)
+					}
+					if sdc := fresh.Run(fx.bind, &f, nil).OutputHash != fx.g.OutputHash; sdc != (cLabels[j] == "emitted-sdc") {
+						t.Fatalf("%s site %+v: output differs from golden: %v", cLabels[j], f, sdc)
+					}
+					n, _ := converged.LoadOrStore(cLabels[j], new(atomic.Int64))
+					n.(*atomic.Int64).Add(1)
+				}
 				if f, ok := fx.staleStackSite(); ok {
-					if ckCompare(t, fx, resumed, fresh, "stale-stack", f) == 0 {
+					if ckCompare(t, fx, resumed, fresh, "stale-stack", f).Prefix == 0 {
 						t.Fatal("stale-stack site ran from the start")
 					}
 					staleLoads.Add(1)
@@ -344,6 +416,13 @@ func TestCheckpointDifferential(t *testing.T) {
 	if liveCalls.Load() == 0 || staleLoads.Load() == 0 || foldFeeds.Load() == 0 {
 		t.Errorf("edge cases not exercised: %d live-call, %d stale-stack, %d feeds-fold sites",
 			liveCalls.Load(), staleLoads.Load(), foldFeeds.Load())
+	}
+	for _, kind := range []string{"zero-stuck-at", "overwritten", "emitted-sdc"} {
+		n, _ := converged.LoadOrStore(kind, new(atomic.Int64))
+		t.Logf("%s: %d modules converged", kind, n.(*atomic.Int64).Load())
+		if n.(*atomic.Int64).Load() == 0 {
+			t.Errorf("no %s site converged", kind)
+		}
 	}
 }
 
@@ -376,6 +455,10 @@ func FuzzCheckpointRestore(f *testing.F) {
 	for i := range 2 * len(benchprog.Eleven()) {
 		f.Add(uint8(i), uint64(i)*7919, uint8(i), uint8(i))
 	}
+	// Pathfinder trials that resume from a checkpoint and then converge
+	// to a later one (a bit flip and a stuck-at-0).
+	f.Add(uint8(0), uint64(1), uint8(1), uint8(0))
+	f.Add(uint8(0), uint64(1), uint8(1), uint8(3))
 	f.Fuzz(func(t *testing.T, bench uint8, site uint64, bit uint8, model uint8) {
 		fx := fuzzFixture(t, int(bench)%(2*len(benchprog.Eleven())))
 		names := fault.ModelNames()
@@ -431,7 +514,7 @@ func TestCheckpointBudget(t *testing.T) {
 	var restores int
 	for i := 0; i < 8; i++ {
 		f, _ := full.samp.RandomSite(rng)
-		if ckCompare(t, &thin, resumed, fresh, "thinned", f) > 0 {
+		if ckCompare(t, &thin, resumed, fresh, "thinned", f).Prefix > 0 {
 			restores++
 		}
 	}

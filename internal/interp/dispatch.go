@@ -127,9 +127,12 @@ func (r *Runner) wr(fr *frame, in *iword, res uint64) {
 // flipSlot applies the armed fault to regs[dst] if this dynamic execution
 // of the target instruction is the injection point, and advances the
 // dynamic-occurrence counter either way (mirroring Runner.flip). Callers
-// have already matched the static instruction ID against faultID.
+// have already matched the static instruction ID against faultID. Once
+// the flip is applied the fault is disarmed (faultID -1), so the rest of
+// the run takes the unarmed fast paths; faultSeen stays past DynIndex.
 func (r *Runner) flipSlot(regs []uint64, dst int32, tbits uint8) {
 	if r.faultSeen == r.fault.DynIndex {
+		r.faultID = -1
 		mask := r.fault.Mask
 		if tbits == 1 {
 			mask &= 1

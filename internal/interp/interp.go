@@ -345,6 +345,10 @@ type Runner struct {
 	faultSeen int64
 	faultID   int32 // fault.InstrID, pre-narrowed for the dispatch loop
 
+	// miss is where a resumed trial's state last differed from a golden
+	// checkpoint (checkpoint.go).
+	miss stateWord
+
 	prof   *Profile
 	tracer *Tracer
 

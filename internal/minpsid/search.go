@@ -230,7 +230,7 @@ func Search(t Target, cfg Config, refInput inputgen.Input, refMeas *sid.Measurem
 		maxBenefit: append([]float64(nil), refMeas.Benefit...),
 	}
 	for _, in := range t.Mod.Instrs {
-		if sid.Duplicable(in) {
+		if sid.Duplicable(t.Mod, in) {
 			e.cand = append(e.cand, in.ID)
 		}
 	}

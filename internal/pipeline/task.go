@@ -429,10 +429,11 @@ func (t *ProtectTask) Run(rt *Runtime) (any, error) {
 	// Default portfolio: the legacy single-detector path, kept verbatim so
 	// the paper's defaults remain byte-identical.
 	sel := sid.Select(t.Target.Mod, meas, t.Level, sid.MethodDP)
+	mod := sid.Duplicate(t.Target.Mod, sel.Chosen)
 	return &ProtectOut{
 		Orig: t.Target.Mod,
-		Mod:  sid.Duplicate(t.Target.Mod, sel.Chosen),
-		IDs:  sid.ProtectedMap(t.Target.Mod, sel.Chosen),
+		Mod:  mod,
+		IDs:  sid.InstrMap(t.Target.Mod, mod),
 		Sel:  sel,
 	}, nil
 }

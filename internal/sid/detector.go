@@ -109,7 +109,7 @@ type dupDetector struct{}
 func (dupDetector) Name() string { return "dup" }
 
 func (dupDetector) Applicable(fa *analysis.Facts, id int) bool {
-	return Duplicable(fa.Mod.Instrs[id])
+	return Duplicable(fa.Mod, fa.Mod.Instrs[id])
 }
 
 // CostFactor is exactly 1: the dup-only portfolio must reproduce the
@@ -127,8 +127,6 @@ func (dupDetector) Coverage(fa *analysis.Facts, id int, m fault.Model) float64 {
 }
 
 func (dupDetector) lower(st *lowerState, fa *analysis.Facts, f *ir.Function, in *ir.Instr) []*ir.Instr {
-	// Byte-compatible with Duplicate: same instructions, registers,
-	// flags, and comments in the same order.
 	dup := in.Clone()
 	dup.Dst = f.NumRegs
 	f.NumRegs++
@@ -178,7 +176,7 @@ func (invDetector) Name() string { return "inv" }
 func invMasks(fa *analysis.Facts, id int) (zero, one uint64) {
 	in := fa.Mod.Instrs[id]
 	kb := fa.Known[fa.Mod.Loc(id).Func] // nil unless the function is SSA
-	if !Duplicable(in) || in.Type != ir.I64 || kb == nil {
+	if !Duplicable(fa.Mod, in) || in.Type != ir.I64 || kb == nil {
 		return 0, 0
 	}
 	z, o := kb.Zero[in.Dst], kb.One[in.Dst]
@@ -316,7 +314,7 @@ func cfgSigSite(fa *analysis.Facts, id int) (f *ir.Function, br *ir.Instr, ok bo
 	if in.Op != ir.OpICmp && in.Op != ir.OpFCmp {
 		return nil, nil, false
 	}
-	if !Duplicable(in) {
+	if !Duplicable(fa.Mod, in) {
 		return nil, nil, false
 	}
 	loc := fa.Mod.Loc(id)

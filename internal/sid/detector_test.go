@@ -118,7 +118,7 @@ func TestDetectorLoweringPreservesSemantics(t *testing.T) {
 		var chosen []int
 		var names []string
 		for _, in := range m.Instrs {
-			if Duplicable(in) && d.Applicable(fa, in.ID) {
+			if Duplicable(m, in) && d.Applicable(fa, in.ID) {
 				chosen = append(chosen, in.ID)
 				names = append(names, d.Name())
 			}
@@ -153,7 +153,7 @@ func TestDetectorCostCoverageBounds(t *testing.T) {
 	fa := analysis.FactsFor(m)
 	for _, d := range Detectors() {
 		for _, in := range m.Instrs {
-			if !Duplicable(in) || !d.Applicable(fa, in.ID) {
+			if !Duplicable(m, in) || !d.Applicable(fa, in.ID) {
 				continue
 			}
 			if cf := d.CostFactor(fa, in.ID); cf <= 0 {
@@ -187,7 +187,7 @@ func TestDetectorCatchesClaimedPatterns(t *testing.T) {
 		var chosen []int
 		var names []string
 		for _, in := range m.Instrs {
-			if Duplicable(in) && d.Applicable(fa, in.ID) &&
+			if Duplicable(m, in) && d.Applicable(fa, in.ID) &&
 				meas.Golden.Profile.InstrCount[in.ID] > 0 {
 				chosen = append(chosen, in.ID)
 				names = append(names, d.Name())

@@ -10,6 +10,8 @@ import (
 // instruction D is followed by a fresh copy D_dup computing the same value
 // into a new register, a bitwise comparison of the two results, and a
 // detector that halts with a Detected outcome on mismatch (paper Fig. 1c).
+// The code protecting a block's leading phis follows the whole phi group,
+// so the group keeps its parallel semantics.
 //
 // Because a transient fault affects a single dynamic instruction, the
 // immediate re-execution is fault-free: a fault in either D or D_dup makes
@@ -20,75 +22,15 @@ import (
 // The returned module is finalized; instruction IDs of original
 // instructions change (insertions shift the numbering), so callers must
 // not mix pre- and post-transform IDs. ProtectedMap reports the mapping.
+// Duplicate is LowerSelection with duplication at every chosen site.
 func Duplicate(m *ir.Module, chosen []int) *ir.Module {
-	chosenSet := make(map[int]bool, len(chosen))
-	for _, id := range chosen {
-		chosenSet[id] = true
-	}
-	cp := m.Clone() // clone preserves IDs (same instruction order)
-	for _, f := range cp.Funcs {
-		for _, b := range f.Blocks {
-			out := make([]*ir.Instr, 0, len(b.Instrs))
-			for _, in := range b.Instrs {
-				out = append(out, in)
-				if !chosenSet[in.ID] || !Duplicable(in) {
-					continue
-				}
-				dup := in.Clone()
-				dup.Dst = f.NumRegs
-				f.NumRegs++
-				dup.Dup = true
-				dup.Comment = "dup"
-
-				cmp := &ir.Instr{
-					Op:   ir.OpICmp, // bitwise equality on the raw words
-					Pred: ir.PredEQ,
-					Type: ir.I1,
-					Dst:  f.NumRegs,
-					Args: []ir.Operand{
-						ir.Reg(in.Dst, in.Type),
-						ir.Reg(dup.Dst, in.Type),
-					},
-					Dup:     true,
-					Comment: "dup-check",
-				}
-				f.NumRegs++
-
-				det := &ir.Instr{
-					Op:      ir.OpDetect,
-					Type:    ir.Void,
-					Dst:     -1,
-					Args:    []ir.Operand{ir.Reg(cmp.Dst, ir.I1)},
-					Dup:     true,
-					Comment: "dup-detect",
-				}
-				out = append(out, dup, cmp, det)
-			}
-			b.Instrs = out
-		}
-	}
-	cp.Finalize()
-	return cp
+	return LowerSelection(m, Selection{Chosen: chosen})
 }
 
 // ProtectedMap maps each original-module instruction ID to its ID in the
-// protected module produced by Duplicate with the same chosen set. The
-// transform only inserts instructions, so the mapping is order-preserving.
+// protected module produced by Duplicate with the same chosen set.
 func ProtectedMap(orig *ir.Module, chosen []int) map[int]int {
-	chosenSet := make(map[int]bool, len(chosen))
-	for _, id := range chosen {
-		chosenSet[id] = true
-	}
-	mapping := make(map[int]int, orig.NumInstrs())
-	newID := 0
-	for _, in := range orig.Instrs {
-		mapping[in.ID] = newID
-		newID++
-		if chosenSet[in.ID] && Duplicable(in) {
-			newID += 3 // dup, cmp, detect
-		}
-	}
-	return mapping
+	return InstrMap(orig, Duplicate(orig, chosen))
 }
 
 // Protect measures, selects, and transforms in one step: the full baseline
@@ -155,7 +97,7 @@ func DuplicatedDynFraction(m *ir.Module, prof *interp.Profile, chosen []int) flo
 func FullDuplication(m *ir.Module) *ir.Module {
 	var all []int
 	for _, in := range m.Instrs {
-		if Duplicable(in) {
+		if Duplicable(m, in) {
 			all = append(all, in.ID)
 		}
 	}

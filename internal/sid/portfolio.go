@@ -74,7 +74,7 @@ func SelectPortfolio(m *ir.Module, meas *Measurement, level float64, method Meth
 	var items []mckItem
 	var totalBenefit float64
 	for _, in := range m.Instrs {
-		if !Duplicable(in) {
+		if !Duplicable(m, in) {
 			continue
 		}
 		totalBenefit += meas.Benefit[in.ID]
@@ -246,8 +246,8 @@ func (st *lowerState) atBlockHead(fi, bi int, instrs []*ir.Instr) {
 // LowerSelection applies a heterogeneous selection to m: every chosen
 // site is protected with its assigned detector (sel.Detectors parallel
 // to sel.Chosen; a nil Detectors slice means duplication everywhere,
-// which reproduces Duplicate byte-for-byte). The returned module is
-// finalized; use InstrMap for the ID translation.
+// which is Duplicate). The returned module is finalized; use InstrMap
+// for the ID translation.
 func LowerSelection(m *ir.Module, sel Selection) *ir.Module {
 	detOf := make(map[int]Detector, len(sel.Chosen))
 	for i, id := range sel.Chosen {
@@ -266,14 +266,21 @@ func LowerSelection(m *ir.Module, sel Selection) *ir.Module {
 	st := &lowerState{}
 	for _, f := range cp.Funcs {
 		for _, b := range f.Blocks {
+			// Protection of the leading phis is held until the group
+			// ends: code between two phis would split the group, and
+			// the phis after it would lose their parallel semantics.
+			lead := leadingPhis(b)
 			out := make([]*ir.Instr, 0, len(b.Instrs))
-			for _, in := range b.Instrs {
+			var held []*ir.Instr
+			for i, in := range b.Instrs {
 				out = append(out, in)
-				d, ok := detOf[in.ID]
-				if !ok || !d.Applicable(fa, in.ID) {
-					continue
+				if d, ok := detOf[in.ID]; ok && d.Applicable(fa, in.ID) {
+					held = append(held, d.lower(st, fa, f, in)...)
 				}
-				out = append(out, d.lower(st, fa, f, in)...)
+				if i >= lead-1 {
+					out = append(out, held...)
+					held = held[:0]
+				}
 			}
 			b.Instrs = out
 		}
@@ -283,10 +290,7 @@ func LowerSelection(m *ir.Module, sel Selection) *ir.Module {
 	// parallel phi-group execution).
 	for key, instrs := range st.heads {
 		b := cp.Funcs[key[0]].Blocks[key[1]]
-		phis := 0
-		for phis < len(b.Instrs) && b.Instrs[phis].Op == ir.OpPhi {
-			phis++
-		}
+		phis := leadingPhis(b)
 		rest := append([]*ir.Instr(nil), b.Instrs[phis:]...)
 		b.Instrs = append(append(b.Instrs[:phis:phis], instrs...), rest...)
 	}

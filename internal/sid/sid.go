@@ -92,23 +92,61 @@ func MeasurementFromStats(m *ir.Module, golden *fault.Golden, stats []fault.Inst
 	return meas
 }
 
-// Duplicable reports whether SID may duplicate instruction in: it must
-// produce a value, and re-executing it immediately must be side-effect
-// free and yield the same result. Calls (side effects in the callee) and
-// allocas (a second execution yields a different pointer) are excluded,
-// as in LLVM-based SID implementations.
-func Duplicable(in *ir.Instr) bool {
+// Duplicable reports whether SID may duplicate instruction in of the
+// finalized module m: it must produce a value, and re-executing it
+// immediately must be side-effect free and yield the same result. Calls
+// (side effects in the callee) and allocas (a second execution yields a
+// different pointer) are excluded, as in LLVM-based SID implementations.
+// So is a phi that reads another phi of its block's leading group: its
+// copy runs after the group (see LowerSelection), where that operand
+// already holds the group's new value. A phi reading its own result is
+// duplicable, since the copy then reads the value the phi just wrote.
+func Duplicable(m *ir.Module, in *ir.Instr) bool {
 	if !in.IsInjectable() || in.Dup {
 		return false
 	}
 	switch in.Op {
 	case ir.OpCall, ir.OpAlloca:
 		return false
+	case ir.OpPhi:
+		return !readsGroupPhi(m, in)
 	default:
 		// All value-returning builtins are pure math; emit builtins are
 		// void and already excluded by IsInjectable.
 		return true
 	}
+}
+
+// readsGroupPhi reports whether phi in reads the result of another phi
+// of its block's leading group.
+func readsGroupPhi(m *ir.Module, in *ir.Instr) bool {
+	loc := m.Loc(in.ID)
+	b := m.Funcs[loc.Func].Blocks[loc.Block]
+	for _, ph := range b.Instrs[:leadingPhis(b)] {
+		if ph != in && readsReg(in, ph.Dst) {
+			return true
+		}
+	}
+	return false
+}
+
+// leadingPhis returns the length of b's leading phi group.
+func leadingPhis(b *ir.Block) int {
+	n := 0
+	for n < len(b.Instrs) && b.Instrs[n].Op == ir.OpPhi {
+		n++
+	}
+	return n
+}
+
+// readsReg reports whether in reads register r.
+func readsReg(in *ir.Instr, r int) bool {
+	for _, a := range in.Args {
+		if a.Kind == ir.OperReg && a.Reg == r {
+			return true
+		}
+	}
+	return false
 }
 
 // Selection is the output of instruction selection.
@@ -158,7 +196,7 @@ func Select(m *ir.Module, meas *Measurement, level float64, method Method) Selec
 	var items []knapItem
 	var totalBenefit float64
 	for _, in := range m.Instrs {
-		if !Duplicable(in) {
+		if !Duplicable(m, in) {
 			continue
 		}
 		b := meas.Benefit[in.ID]

@@ -83,7 +83,7 @@ func TestSelectRespectsBudget(t *testing.T) {
 				t.Errorf("expected coverage %f out of range", sel.ExpectedCoverage)
 			}
 			for _, id := range sel.Chosen {
-				if !Duplicable(m.Instrs[id]) {
+				if !Duplicable(m, m.Instrs[id]) {
 					t.Errorf("selected non-duplicable instr %d (%s)", id, m.Instrs[id].Op)
 				}
 			}
@@ -310,7 +310,7 @@ func TestDuplicableExclusions(t *testing.T) {
 		if in.Op == ir.OpCallB && !in.HasResult() {
 			continue // void emit builtin; not injectable by construction
 		}
-		byOp[in.Op] = Duplicable(in)
+		byOp[in.Op] = Duplicable(m, in)
 	}
 	if byOp[ir.OpAlloca] {
 		t.Error("alloca must not be duplicable")
@@ -464,4 +464,134 @@ func TestHeuristicMeasureSelectsAndProtects(t *testing.T) {
 		t.Errorf("heuristic selection coverage %.3f suspiciously low", cov)
 	}
 	t.Logf("heuristic-guided coverage at 50%% level: %.3f", cov)
+}
+
+// rotateSrc rotates three variables through a loop; optimization turns
+// them into a loop-header group of three phis that read each other.
+const rotateSrc = `
+func main(n int) {
+	var a int = 1;
+	var b int = 2;
+	var c int = 3;
+	for (var i int = 0; i < n; i = i + 1) {
+		var t int = a;
+		a = b;
+		b = c;
+		c = t;
+	}
+	emiti(a);
+	emiti(b);
+	emiti(c);
+}
+`
+
+// TestProtectionKeepsPhiGroups protects the rotation loop in every way a
+// selection can (full duplication, duplication of one phi, every
+// detector at every applicable site) and checks that each protected
+// module keeps the three-phi group leading its block and prints the
+// original output on both engines. Protection code placed between two
+// phis of the group would give the later phis sequential semantics and
+// change the output.
+func TestProtectionKeepsPhiGroups(t *testing.T) {
+	m, err := minicc.Compile("rotate.mc", rotateSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := passes.Optimize(m); err != nil {
+		t.Fatal(err)
+	}
+	var group []*ir.Instr
+	for _, f := range m.Funcs {
+		for _, b := range f.Blocks {
+			if n := leadingPhis(b); n >= 3 {
+				group = b.Instrs[:n]
+			}
+		}
+	}
+	if group == nil {
+		t.Fatalf("no three-phi group in\n%s", m)
+	}
+	crossReads := 0
+	for _, ph := range group {
+		if slices.ContainsFunc(group, func(o *ir.Instr) bool { return o != ph && readsReg(ph, o.Dst) }) {
+			crossReads++
+			if Duplicable(m, ph) {
+				t.Errorf("phi %s reads its group but is duplicable", ph)
+			}
+		}
+	}
+	if crossReads < 3 {
+		t.Fatalf("%d phis read their group, want the 3 rotating ones", crossReads)
+	}
+	fa := analysis.FactsFor(m)
+	prots := map[string]*ir.Module{
+		"full-dup":  FullDuplication(m),
+		"first-phi": Duplicate(m, []int{group[0].ID}),
+	}
+	for _, d := range Detectors() {
+		var sel Selection
+		for _, in := range m.Instrs {
+			if d.Applicable(fa, in.ID) {
+				sel.Chosen = append(sel.Chosen, in.ID)
+				sel.Detectors = append(sel.Detectors, d.Name())
+			}
+		}
+		prots[d.Name()] = LowerSelection(m, sel)
+	}
+	bind := interp.Binding{Args: []uint64{4}}
+	want := []uint64{2, 3, 1}
+	for name, prot := range prots {
+		ids := InstrMap(m, prot)
+		for i, ph := range group {
+			if pos := prot.Loc(ids[ph.ID]).Pos; pos != i {
+				t.Errorf("%s: phi %d of the group moved to position %d:\n%s", name, i, pos, prot)
+			}
+		}
+		for _, eng := range []interp.Engine{interp.EngineLegacy, interp.EngineCompiled} {
+			res := interp.NewRunner(prot, interp.Config{Engine: eng}).Run(bind, nil, nil)
+			if res.Status != interp.StatusOK || !slices.Equal(res.Output, want) {
+				t.Errorf("%s on %s: %v %v, want OK %v", name, eng, res.Status, res.Output, want)
+			}
+		}
+	}
+}
+
+// TestDuplicatePlacesPhiChecksAfterGroup duplicates a loop whose header
+// phis do not read each other: every phi is protected, the group stays
+// leading, and a fault in each phi is detected.
+func TestDuplicatePlacesPhiChecksAfterGroup(t *testing.T) {
+	m, bind, _ := measureKernel(t)
+	prot := FullDuplication(m)
+	ids := InstrMap(m, prot)
+	golden, err := fault.RunGolden(prot, bind, interp.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := interp.NewRunner(prot, interp.Config{MaxDynInstrs: golden.DynInstrs * 20})
+	groups := 0
+	for _, f := range m.Funcs {
+		for _, b := range f.Blocks {
+			n := leadingPhis(b)
+			if n < 2 {
+				continue
+			}
+			groups++
+			for i, ph := range b.Instrs[:n] {
+				id := ids[ph.ID]
+				if pos := prot.Loc(id).Pos; pos != i {
+					t.Fatalf("phi %d of a group of %d moved to position %d", i, n, pos)
+				}
+				if !Duplicable(m, ph) || golden.Profile.InstrCount[id] == 0 {
+					continue
+				}
+				f := interp.Fault{InstrID: id, Bit: ph.Type.Bits() - 2}
+				if res := r.Run(bind, &f, nil); res.Status != interp.StatusDetected {
+					t.Errorf("fault in phi %s: %v, want detected", ph, res.Status)
+				}
+			}
+		}
+	}
+	if groups == 0 {
+		t.Fatal("kernel has no phi group")
+	}
 }
