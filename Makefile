@@ -38,7 +38,7 @@ check: build vet test race
 # commits.
 BENCH_JSON ?= BENCH_interp.json
 
-# Static-analysis benchmarks: triage cost, masked-site accounting, and
+# Static-analysis benchmarks: facts-build and triage cost, masked-site accounting, and
 # campaign wall-clock with pruning on/off, appended to BENCH_analysis.json
 # in the same JSON-lines shape. Custom ReportMetric columns (masked_frac,
 # masked_bits, total_bits, pruned_frac) are captured generically.
@@ -84,7 +84,7 @@ bench:
 		rec = sprintf("{\"ts\":\"%s\",\"name\":\"%s\",\"iters\":%s,\"ns_per_op\":%s", ts, $$1, $$2, $$3); \
 		if ($$6 == "ns/instr") rec = rec sprintf(",\"ns_per_instr\":%s", $$5); \
 		rec = rec "}"; print rec }' >> $(BENCH_JSON)
-	$(GO) test -bench 'Triage|VerifySSA' -benchtime 100ms -count $(BENCH_COUNT) -run '^$$' \
+	$(GO) test -bench 'Triage|Facts|VerifySSA' -benchtime 100ms -count $(BENCH_COUNT) -run '^$$' \
 		./internal/analysis ./internal/fault | tee /dev/stderr | \
 	awk -v ts="$$(date -u +%Y-%m-%dT%H:%M:%SZ)" '/^Benchmark/ { \
 		printf "{\"ts\":\"%s\",\"name\":\"%s\",\"iters\":%s,\"ns_per_op\":%s", ts, $$1, $$2, $$3; \

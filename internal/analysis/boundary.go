@@ -89,8 +89,7 @@ func buildBoundaries(m *ir.Module) *Boundaries {
 	facts := make([]funcFacts, len(m.Funcs))
 	for fi, f := range m.Funcs {
 		cfg := BuildCFG(f)
-		ins, _ := Forward[kbState](cfg, kbProblem{f: f})
-		facts[fi] = funcFacts{cfg: cfg, live: BuildLiveness(cfg), kbIn: ins}
+		facts[fi] = funcFacts{cfg: cfg, live: BuildLiveness(cfg), kbIn: Forward[kbState](cfg, kbProblem{f: f})}
 	}
 
 	for si, sec := range set.Sections {

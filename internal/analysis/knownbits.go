@@ -63,7 +63,7 @@ func (p kbProblem) Equal(a, b kbState) bool {
 	return true
 }
 
-func (p kbProblem) Clone(s kbState) kbState { return append(kbState(nil), s...) }
+func (p kbProblem) Copy(dst, src kbState) kbState { return append(dst[:0], src...) }
 
 func (p kbProblem) Transfer(b *ir.Block, in kbState) kbState {
 	for _, instr := range b.Instrs {
@@ -217,13 +217,13 @@ type KnownBits struct {
 
 // BuildKnownBits runs the known-bits propagation over f.
 func BuildKnownBits(f *ir.Function, c *CFG) *KnownBits {
-	prob := kbProblem{f: f}
-	ins, _ := Forward[kbState](c, prob)
+	ins := Forward[kbState](c, kbProblem{f: f})
 	kb := &KnownBits{F: f, Zero: make([]uint64, f.NumRegs), One: make([]uint64, f.NumRegs)}
-	// Replay each reachable block from its in-state, recording the fact
-	// of every defined register.
+	// Replay each reachable block from its in-state (in place: the
+	// solve's in-facts are not read again), recording the fact of every
+	// defined register.
 	for _, bi := range c.RPO {
-		s := prob.Clone(ins[bi])
+		s := ins[bi]
 		for _, in := range f.Blocks[bi].Instrs {
 			if in.HasResult() {
 				fact := kbTransfer(in, s)

@@ -234,7 +234,7 @@ type rangeProblem struct {
 	du *DefUse
 
 	visits  []int    // per-block Transfer count, drives widening
-	prevIn  []rState // per-block in-state of the previous visit
+	prevIn  []rState // in-state of a widening point's previous visit (reused buffer)
 	widenAt []bool   // widening points: targets of retreating edges
 }
 
@@ -312,7 +312,7 @@ func (p *rangeProblem) Equal(a, b rState) bool {
 	return true
 }
 
-func (p *rangeProblem) Clone(s rState) rState { return append(rState(nil), s...) }
+func (p *rangeProblem) Copy(dst, src rState) rState { return append(dst[:0], src...) }
 
 func (p *rangeProblem) Transfer(b *ir.Block, in rState) rState {
 	bi := b.Index
@@ -340,7 +340,9 @@ func (p *rangeProblem) Transfer(b *ir.Block, in rState) rState {
 			}
 		}
 	}
-	p.prevIn[bi] = append(rState(nil), in...)
+	if p.widenAt[bi] {
+		p.prevIn[bi] = append(p.prevIn[bi][:0], in...)
+	}
 	for _, instr := range b.Instrs {
 		if instr.HasResult() {
 			in[instr.Dst] = rangeTransfer(instr, in)
@@ -597,10 +599,10 @@ func (v *ValueRanges) At(r int) Interval { return v.R[r] }
 
 // BuildRanges runs the interval analysis over f and records each
 // definition's interval by replaying reachable blocks from their
-// stable, edge-refined in-states.
+// stable, edge-refined in-states (in place: the solve's in-facts are
+// not read again).
 func BuildRanges(f *ir.Function, c *CFG, du *DefUse) *ValueRanges {
-	prob := newRangeProblem(f, c, du)
-	ins, _ := Forward[rState](c, prob)
+	ins := Forward[rState](c, newRangeProblem(f, c, du))
 	vr := &ValueRanges{F: f, R: make([]Interval, f.NumRegs)}
 	for i := range vr.R {
 		vr.R[i] = fullIvl
@@ -609,7 +611,7 @@ func BuildRanges(f *ir.Function, c *CFG, du *DefUse) *ValueRanges {
 		vr.R[r] = vr.R[r].clampType(t)
 	}
 	for _, bi := range c.RPO {
-		s := prob.Clone(ins[bi])
+		s := ins[bi]
 		for _, in := range f.Blocks[bi].Instrs {
 			if in.HasResult() {
 				iv := rangeTransfer(in, s)

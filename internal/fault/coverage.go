@@ -94,14 +94,14 @@ func TrueCoverageOpts(orig, prot *ir.Module, idMap map[int]int, bind interp.Bind
 // slices into exactly this shape, so composed and whole-program
 // coverage measurements share one phase-2 implementation by
 // construction.
+//
+// The protected program's golden run is fetched only when at least one
+// replay survives static pruning (under the default bit flip and
+// duplication-only protection, none does), so a failing protected
+// golden run surfaces as an error only when a replay needs it.
 func ReplayCoverage(prot *ir.Module, idMap map[int]int, bind interp.Binding,
 	exec interp.Config, opt CoverageOptions, sites []interp.Fault, outcomesO []Outcome,
 	requested, shortfall int64) (TrueCoverageResult, error) {
-
-	goldenP, err := opt.Cache.Golden(prot, bind, exec, opt.Metrics)
-	if err != nil {
-		return TrueCoverageResult{}, fmt.Errorf("fault: protected golden: %w", err)
-	}
 
 	res := TrueCoverageResult{Trials: int64(len(sites))}
 	res.Unprotect.Requested = requested
@@ -129,7 +129,7 @@ func ReplayCoverage(prot *ir.Module, idMap map[int]int, bind interp.Binding,
 	// Detected replays count, and a replay at an unguarded instruction
 	// (analysis.ProofUnguarded) cannot be Detected: it is counted not
 	// mitigated without running it.
-	campP := &Campaign{Mod: prot, Bind: bind, Cfg: exec, Golden: goldenP,
+	campP := &Campaign{Mod: prot, Bind: bind, Cfg: exec,
 		Workers: opt.Workers, Model: opt.Model, Metrics: opt.Metrics, Obs: opt.Obs}
 	m := campP.model()
 	cl, tri := m.Class(), analysis.TriageFor(prot)
@@ -143,7 +143,17 @@ func ReplayCoverage(prot *ir.Module, idMap map[int]int, bind interp.Binding,
 		opt.Metrics.AddPruned(m.Name(), n)
 		opt.Metrics.AddPrunedProof(analysis.ProofUnguarded.String(), n)
 	}
-	outcomesP := campP.runSites(kept)
+	outcomesP, run, runIdx := campP.pruneSites(m, kept)
+	if len(run) > 0 {
+		goldenP, err := opt.Cache.Golden(prot, bind, exec, opt.Metrics)
+		if err != nil {
+			return TrueCoverageResult{}, fmt.Errorf("fault: protected golden: %w", err)
+		}
+		campP.Golden = goldenP
+		for j, o := range campP.execSites(run) {
+			outcomesP[runIdx[j]] = o
+		}
+	}
 	for _, o := range outcomesP {
 		if o == OutcomeDetected {
 			res.Mitigated++

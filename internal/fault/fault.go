@@ -339,50 +339,59 @@ func (c *Campaign) RunSites(sites []interp.Fault) []Outcome {
 // runSitesModel is runSites with an explicit model (so helpers like
 // RunMultiBit can run a non-default model without mutating the campaign).
 func (c *Campaign) runSitesModel(m Model, sites []interp.Fault) []Outcome {
-	if c.Triage == TriageAuto && len(sites) > 0 {
-		t := analysis.TriageFor(c.Mod)
-		cl := m.Class()
-		outcomes := make([]Outcome, len(sites))
-		kept := make([]interp.Fault, 0, len(sites))
-		keptIdx := make([]int, 0, len(sites))
-		var byProof map[analysis.Proof]int64
-		for i, s := range sites {
-			switch v, pf := t.ClassifyFor(cl, s.InstrID, s.Bit, s.Mask); v {
-			case analysis.VerdictProvablyMasked:
-				outcomes[i] = OutcomeBenign
-				if byProof == nil {
-					byProof = make(map[analysis.Proof]int64)
-				}
-				byProof[pf]++
-			case analysis.VerdictProvablyDetected:
-				// The proof guarantees the armed detector fires before
-				// any other observable; an executed trial would report
-				// exactly this outcome.
-				outcomes[i] = OutcomeDetected
-				if byProof == nil {
-					byProof = make(map[analysis.Proof]int64)
-				}
-				byProof[pf]++
-			default:
-				kept = append(kept, s)
-				keptIdx = append(keptIdx, i)
-			}
-		}
-		if pruned := int64(len(sites) - len(kept)); pruned > 0 {
-			c.Metrics.AddPruned(m.Name(), pruned)
-			for pf, n := range byProof {
-				c.Metrics.AddPrunedProof(pf.String(), n)
-			}
-		}
-		if len(kept) == 0 {
-			return outcomes
-		}
+	if c.Triage != TriageAuto || len(sites) == 0 {
+		return c.execSites(sites)
+	}
+	outcomes, kept, keptIdx := c.pruneSites(m, sites)
+	if len(kept) > 0 {
 		for j, o := range c.execSites(kept) {
 			outcomes[keptIdx[j]] = o
 		}
-		return outcomes
 	}
-	return c.execSites(sites)
+	return outcomes
+}
+
+// pruneSites is the static half of runSitesModel under TriageAuto: it
+// returns one outcome per site with every provably masked or detected
+// site filled in (and counted as pruned), plus the sites that still
+// need execution and their indices into sites. It runs nothing, so it
+// does not need c.Golden.
+func (c *Campaign) pruneSites(m Model, sites []interp.Fault) (outcomes []Outcome, kept []interp.Fault, keptIdx []int) {
+	t := analysis.TriageFor(c.Mod)
+	cl := m.Class()
+	outcomes = make([]Outcome, len(sites))
+	kept = make([]interp.Fault, 0, len(sites))
+	keptIdx = make([]int, 0, len(sites))
+	var byProof map[analysis.Proof]int64
+	for i, s := range sites {
+		switch v, pf := t.ClassifyFor(cl, s.InstrID, s.Bit, s.Mask); v {
+		case analysis.VerdictProvablyMasked:
+			outcomes[i] = OutcomeBenign
+			if byProof == nil {
+				byProof = make(map[analysis.Proof]int64)
+			}
+			byProof[pf]++
+		case analysis.VerdictProvablyDetected:
+			// The proof guarantees the armed detector fires before
+			// any other observable; an executed trial would report
+			// exactly this outcome.
+			outcomes[i] = OutcomeDetected
+			if byProof == nil {
+				byProof = make(map[analysis.Proof]int64)
+			}
+			byProof[pf]++
+		default:
+			kept = append(kept, s)
+			keptIdx = append(keptIdx, i)
+		}
+	}
+	if pruned := int64(len(sites) - len(kept)); pruned > 0 {
+		c.Metrics.AddPruned(m.Name(), pruned)
+		for pf, n := range byProof {
+			c.Metrics.AddPrunedProof(pf.String(), n)
+		}
+	}
+	return outcomes, kept, keptIdx
 }
 
 // Golden checkpoints (interp.Checkpoints): every batch of at least

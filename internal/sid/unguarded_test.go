@@ -183,3 +183,64 @@ func TestUnguardedNeedsDupOnlyProtection(t *testing.T) {
 		t.Errorf("non-SSA module: %d instructions unguarded, want 0", n)
 	}
 }
+
+// TestReplayGoldenOnlyWhenNeeded pins when phase 2 of a true-coverage
+// measurement runs the protected module's golden run: only when a replay
+// survives static pruning. On a fully duplicated module every bit-flip
+// replay is pruned (dup-detected or unguarded) and no golden run is
+// recorded; stuck-at replays at duplicated instructions, which no
+// detection proof covers, still execute against one.
+func TestReplayGoldenOnlyWhenNeeded(t *testing.T) {
+	b, ok := benchprog.ByName("knn")
+	if !ok {
+		t.Fatal("knn benchmark missing")
+	}
+	m := b.MustModule()
+	bind := b.Bind(b.Reference)
+	cfg := b.ExecConfig()
+	prot := FullDuplication(m)
+	ids := InstrMap(m, prot)
+	goldenO, err := fault.RunGolden(m, bind, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampler := fault.NewSampler(m, goldenO, true)
+	for _, tc := range []struct {
+		model      string
+		goldenRuns int64
+	}{{"bitflip", 0}, {"stuckat1", 1}} {
+		model, ok := fault.ModelByName(tc.model)
+		if !ok {
+			t.Fatalf("model %s missing", tc.model)
+		}
+		rng := rand.New(rand.NewSource(3))
+		var sites []interp.Fault
+		for range 150 {
+			if s, ok := sampler.RandomSiteModel(model, rng); ok {
+				sites = append(sites, s)
+			}
+		}
+		orig := &fault.Campaign{Mod: m, Bind: bind, Cfg: cfg, Golden: goldenO, Model: model}
+		outcomes := orig.RunSites(sites)
+		pm := fault.NewMetrics().Phase("eval")
+		res, err := fault.ReplayCoverage(prot, ids, bind, cfg,
+			fault.CoverageOptions{Model: model, Workers: 1, Metrics: pm},
+			sites, outcomes, int64(len(sites)), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SDCFaults == 0 {
+			t.Fatalf("%s: no SDC site to replay", tc.model)
+		}
+		s := pm.Snapshot()
+		if s.GoldenRuns != tc.goldenRuns {
+			t.Errorf("%s: %d protected golden runs, want %d", tc.model, s.GoldenRuns, tc.goldenRuns)
+		}
+		if executed := s.Trials > 0; executed != (tc.goldenRuns > 0) {
+			t.Errorf("%s: %d replays executed with %d golden runs", tc.model, s.Trials, s.GoldenRuns)
+		}
+		if tc.goldenRuns == 0 && s.Pruned != res.SDCFaults {
+			t.Errorf("%s: %d of %d replays pruned, want all", tc.model, s.Pruned, res.SDCFaults)
+		}
+	}
+}
