@@ -10,8 +10,8 @@
 // fig5, fig6, chart6, table3, fig7, fig8, fig9 (includes table4),
 // overhead (§VIII-A), mtfft (§VIII-B), matrix (detector × fault-model
 // true-coverage matrix; not part of all), static-rank (Spearman rank
-// correlation of the static propagation-graph SDC score against FI
-// ground truth; not part of all).
+// correlation of the static flow-heuristic SDC score against FI ground
+// truth; not part of all).
 //
 // -fault-model and -detector swap the injected fault model and the
 // detector portfolio for every experiment; the defaults (bitflip, dup)
@@ -137,7 +137,7 @@ func run(o options) error {
 
 	bs := benchprog.Eleven()
 	if o.benches != "" {
-		bs = bs[:0]
+		bs = nil
 		for _, name := range strings.Split(o.benches, ",") {
 			b, ok := benchprog.ByName(strings.TrimSpace(name))
 			if !ok {

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/benchprog"
 	"repro/internal/pipeline"
 )
 
@@ -92,6 +94,31 @@ func TestRunColdThenWarmIsByteIdentical(t *testing.T) {
 func TestRunWithoutResultsDir(t *testing.T) {
 	if err := run(quickOptions("table1", "", "")); err != nil {
 		t.Fatalf("run without results dir: %v", err)
+	}
+}
+
+// TestRunBenchSubsetKeepsRegistry selects a -bench subset: building it
+// must not write into the benchmark registry, so every name resolves
+// and Table 1 still lists each of the 11 benchmarks exactly once.
+func TestRunBenchSubsetKeepsRegistry(t *testing.T) {
+	var names []string
+	for _, b := range benchprog.Eleven() {
+		names = append(names, b.Name)
+	}
+	o := quickOptions("table1", "knn,pathfinder", "")
+	if err := run(o); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	rows := map[string]int{}
+	for _, line := range strings.Split(o.out.(*bytes.Buffer).String(), "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			rows[f[0]]++
+		}
+	}
+	for _, name := range names {
+		if rows[name] != 1 {
+			t.Errorf("Table 1 lists %s %d times, want once", name, rows[name])
+		}
 	}
 }
 

@@ -509,6 +509,49 @@ func TestVerifySSACatchesNonDominatingDef(t *testing.T) {
 	}
 }
 
+// TestVerifySSARejectsRepeatedPhiEdge parses a loop whose latch ends in
+// `condbr -> bb1 bb1`: one edge for the header's phi, which must list
+// the latch once. Listing it twice passes every dominance check, so
+// only the incoming-block rule catches it.
+func TestVerifySSARejectsRepeatedPhiEdge(t *testing.T) {
+	const src = `module dupphi
+func @main(%r0:i64) void {
+bb0:
+  br -> bb1
+bb1:
+  %r1:i64 = phi INCOMING
+  %r3:i1 = icmp lt %r1:i64, %r0:i64
+  condbr %r3:i1 -> bb2 bb3
+bb2:
+  %r2:i64 = add %r1:i64, 1:i64
+  %r4:i1 = icmp gt %r2:i64, 10:i64
+  condbr %r4:i1 -> bb1 bb1
+bb3:
+  callb @emiti %r1:i64
+  ret
+}
+`
+	parse := func(incoming string) *ir.Module {
+		m, err := ir.ParseModule(strings.Replace(src, "INCOMING", incoming, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	if err := ir.VerifyStrict(parse("0:i64, %r2:i64 -> bb0 bb2")); err != nil {
+		t.Fatalf("latch listed once: VerifyStrict = %v, want nil", err)
+	}
+	m := parse("0:i64, %r2:i64, %r2:i64 -> bb0 bb2 bb2")
+	if err := ir.Verify(m); err != nil {
+		t.Fatalf("latch listed twice: Verify = %v, want nil (only the strict rule rejects it)", err)
+	}
+	for name, verify := range map[string]func(*ir.Module) error{"VerifySSA": VerifySSA, "ir.VerifyStrict": ir.VerifyStrict} {
+		if err := verify(m); err == nil || !strings.Contains(err.Error(), "incoming blocks [0 2 2]") {
+			t.Errorf("latch listed twice: %s = %v, want incoming-block violation", name, err)
+		}
+	}
+}
+
 func TestUpToAndWidthMask(t *testing.T) {
 	cases := map[uint64]uint64{
 		0:         0,

@@ -39,7 +39,7 @@ func BenchmarkTriage(b *testing.B) {
 var factsSink *analysis.Facts
 
 // BenchmarkFacts measures the full analysis chain behind triage (CFGs,
-// dominators, known bits, value ranges, points-to, memory SSA, dead
+// def-use chains, known bits, value ranges, points-to, memory SSA, dead
 // stores, demanded bits, detection and range-mask facts) per benchmark
 // module. Each iteration analyzes a fresh clone, so the per-module memo
 // never serves it; cloning is outside the timer.

@@ -19,7 +19,8 @@ import "repro/internal/ir"
 
 // CFG is the control-flow graph of one function: successor and
 // predecessor block lists plus a reverse-postorder numbering of the
-// reachable blocks.
+// reachable blocks. Succs[b] is b's terminator target list as written,
+// so `condbr -> X X` lists X twice (and b twice in Preds[X]).
 type CFG struct {
 	F     *ir.Function
 	Succs [][]int

@@ -3,7 +3,10 @@ package analysis_test
 // Digest golden for the analysis results. Every benchmark module, plain
 // and fully duplicated, is reduced to one hash per result family; the
 // file pins them so a change to the dataflow engine or any analysis
-// that alters a single fact, verdict or boundary hash fails loudly.
+// that alters a single fact, verdict or boundary hash fails loudly. The
+// ir family hashes the optimized IR text itself, which also pins what
+// the passes emit (a reordered phi operand list leaves every
+// per-register fact unchanged).
 // Regenerate (only for an intended analysis change) with:
 //
 //	go test ./internal/analysis -run TestFactsDigest -update
@@ -30,8 +33,8 @@ var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 
 // digestModule writes one line per result family of m: per-function
 // value ranges and known bits, the range-masked bits, the verdict and
-// proof of every (instruction, bit) site, and every section-boundary
-// hash.
+// proof of every (instruction, bit) site, every section-boundary hash,
+// and the module's IR text.
 func digestModule(w *bytes.Buffer, name string, m *ir.Module) {
 	fa := analysis.FactsFor(m)
 	tri := analysis.TriageFor(m)
@@ -90,6 +93,9 @@ func digestModule(w *bytes.Buffer, name string, m *ir.Module) {
 			sum := bs.HashOf(si)
 			h.Write(sum[:])
 		}
+	})
+	line("ir", func(h hash.Hash) {
+		h.Write([]byte(m.String()))
 	})
 }
 

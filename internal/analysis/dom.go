@@ -11,7 +11,9 @@ type DomTree struct {
 	// its own idom, unreachable blocks have Idom -1.
 	Idom []int
 
-	// Children[b] lists the blocks immediately dominated by b.
+	// Children[b] lists the blocks immediately dominated by b, in
+	// reverse postorder. passes.Mem2Reg renames along this order, so it
+	// fixes the operand order of the phis that pass fills.
 	Children [][]int
 
 	// Frontier[b] is the dominance frontier of b: blocks d such that b
@@ -73,9 +75,9 @@ func BuildDom(c *CFG) *DomTree {
 	}
 
 	d.Children = make([][]int, n)
-	for b, i := range d.Idom {
-		if b != 0 && i >= 0 {
-			d.Children[i] = append(d.Children[i], b)
+	for _, b := range c.RPO {
+		if b != 0 {
+			d.Children[d.Idom[b]] = append(d.Children[d.Idom[b]], b)
 		}
 	}
 

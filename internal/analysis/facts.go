@@ -7,20 +7,19 @@ import (
 )
 
 // Facts bundles every per-function and module-level analysis result
-// for one finalized module snapshot: CFGs, dominator trees, def-use
-// chains, known bits, value ranges, provenance/memory-SSA, demanded
-// bits, detection facts, and the propagation graph. The bundle is
-// immutable after construction and shared by every consumer — Triage,
-// the sid detectors and heuristics, reports, and the -analyze CLI all hit
-// the same memoized instance, so the underlying CFG and dominator builds
-// run exactly once per module snapshot (factsBuilds counts them; the
-// single-build test asserts it).
+// for one finalized module snapshot: CFGs, def-use chains, known bits,
+// value ranges, provenance/memory-SSA, demanded bits, detection facts,
+// and range-masked bits. The bundle is immutable after construction and
+// shared by every consumer — Triage, the sid detectors and heuristics,
+// reports, and the -analyze CLI all hit the same memoized instance, so
+// the underlying analyses run exactly once per module snapshot
+// (factsBuilds counts them; the single-build test asserts it).
 type Facts struct {
 	Mod *ir.Module
 
 	// SingleAssignment: every function is in single-assignment register
 	// form. When false, only the per-function structural facts (CFGs,
-	// Doms, DefUses, and Known of the single-assignment functions) are
+	// DefUses, and Known of the single-assignment functions) are
 	// populated; the module-level analyses would be unsound and Triage
 	// is inert.
 	SingleAssignment bool
@@ -28,7 +27,6 @@ type Facts struct {
 	// Per-function, indexed by function index. Known[fi] is nil when
 	// function fi is not in single-assignment form.
 	CFGs    []*CFG
-	Doms    []*DomTree
 	DefUses []*DefUse
 	Known   []*KnownBits
 	Ranges  []*ValueRanges
@@ -43,9 +41,6 @@ type Facts struct {
 	// RangeMasked[id]: demanded result bits of instruction id whose
 	// single-bit flip every use provably absorbs (rangemask.go).
 	RangeMasked []uint64
-
-	// Prop is the static error-propagation graph (propagation.go).
-	Prop *Propagation
 }
 
 // factsBuilds counts buildFacts invocations (observability for the
@@ -68,13 +63,11 @@ func buildFacts(m *ir.Module) *Facts {
 		Mod:              m,
 		SingleAssignment: true,
 		CFGs:             make([]*CFG, len(m.Funcs)),
-		Doms:             make([]*DomTree, len(m.Funcs)),
 		DefUses:          make([]*DefUse, len(m.Funcs)),
 		Known:            make([]*KnownBits, len(m.Funcs)),
 	}
 	for fi, f := range m.Funcs {
 		fa.CFGs[fi] = BuildCFG(f)
-		fa.Doms[fi] = BuildDom(fa.CFGs[fi])
 		fa.DefUses[fi] = BuildDefUse(f)
 		if fa.DefUses[fi].SingleAssignment {
 			fa.Known[fi] = BuildKnownBits(f, fa.CFGs[fi])
@@ -96,6 +89,5 @@ func buildFacts(m *ir.Module) *Facts {
 	fa.Dem = BuildDemand(m, fa.DS)
 	fa.Detect = buildDetectFacts(m)
 	fa.RangeMasked = buildRangeMask(m, fa.DefUses, fa.Ranges, fa.Dem, fa.DS)
-	fa.Prop = buildPropagation(fa)
 	return fa
 }

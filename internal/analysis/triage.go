@@ -176,7 +176,7 @@ type Triage struct {
 // not in single-assignment register form yield an inert triage that
 // proves nothing. All underlying analyses come from the memoized
 // FactsFor bundle, so repeated triage queries (and the -analyze
-// report) never rebuild CFGs or dominators.
+// report) never rebuild CFGs or any other fact.
 func NewTriage(m *ir.Module) *Triage {
 	fa := FactsFor(m)
 	t := &Triage{

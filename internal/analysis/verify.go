@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ir"
 )
@@ -10,8 +11,10 @@ import (
 // module using the dominator tree: every register is assigned by at
 // most one instruction, every use of a register is dominated by its
 // definition (phi uses by the terminator of the matching incoming
-// block), and no instruction in reachable code reads a register that is
-// neither a parameter nor defined anywhere.
+// block), every phi in reachable code lists each distinct predecessor
+// of its block exactly once and no other block, and no instruction in
+// reachable code reads a register that is neither a parameter nor
+// defined anywhere.
 //
 // It is registered as ir.VerifyStrict's dominance checker, so callers
 // that link this package get the strict mode through the ir API.
@@ -63,6 +66,10 @@ func verifyFuncSSA(m *ir.Module, fi int, f *ir.Function) error {
 			continue // dominance is undefined off the entry's region
 		}
 		for pi, in := range b.Instrs {
+			if in.Op == ir.OpPhi && !phiEdgesMatch(cfg.Preds[bi], in.Succs) {
+				return fmt.Errorf("func %s bb%d pos %d [%d] phi: incoming blocks %v, want each distinct predecessor once (predecessors %v)",
+					f.Name, bi, pi, in.ID, in.Succs, cfg.Preds[bi])
+			}
 			for ai, a := range in.Args {
 				if a.Kind != ir.OperReg {
 					continue
@@ -103,4 +110,27 @@ func verifyFuncSSA(m *ir.Module, fi int, f *ir.Function) error {
 		}
 	}
 	return nil
+}
+
+// phiEdgesMatch reports whether a phi's incoming blocks are exactly the
+// distinct blocks of preds, each listed once (a condbr whose two
+// targets coincide is one edge for the phi). Both lists are a few
+// entries long, so quadratic scans stand in for a set and allocate
+// nothing.
+func phiEdgesMatch(preds, incoming []int) bool {
+	distinct := 0
+	for i, p := range preds {
+		if !slices.Contains(preds[:i], p) {
+			distinct++
+		}
+	}
+	if len(incoming) != distinct {
+		return false
+	}
+	for i, b := range incoming {
+		if !slices.Contains(preds, b) || slices.Contains(incoming[:i], b) {
+			return false
+		}
+	}
+	return true
 }

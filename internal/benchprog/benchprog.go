@@ -12,6 +12,7 @@ package benchprog
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -125,12 +126,13 @@ func zeros(n int64) []uint64 { return make([]uint64, n) }
 // fbits packs a float argument.
 func fbits(x float64) uint64 { return math.Float64bits(x) }
 
-// All returns the benchmark registry: the paper's 11 programs (Table I)
-// plus the multi-threaded FFT used in §VIII-B.
-func All() []*Benchmark { return registry }
+// All returns a copy of the benchmark registry: the paper's 11 programs
+// (Table I) plus the multi-threaded FFT used in §VIII-B. Callers may
+// reslice or append to it without touching the registry.
+func All() []*Benchmark { return slices.Clone(registry) }
 
-// Eleven returns only the 11 single-threaded benchmarks of Table I.
-func Eleven() []*Benchmark { return registry[:11] }
+// Eleven returns a copy of the 11 single-threaded benchmarks of Table I.
+func Eleven() []*Benchmark { return slices.Clone(registry[:11]) }
 
 // ByName resolves a benchmark by name.
 func ByName(name string) (*Benchmark, bool) {

@@ -10,17 +10,16 @@ import (
 	"repro/internal/stats"
 )
 
-// StaticRank reports how well the static propagation-graph score
-// (sid.StaticSDCProb) RANKS fault sites against fault-injection ground
-// truth: per benchmark, the Spearman rank correlation between the
-// static score and the reference measurement's per-instruction SDC
+// StaticRank reports how well the static flow-heuristic score
+// (sid.HeuristicSDCProb) RANKS fault sites against fault-injection
+// ground truth: per benchmark, the Spearman rank correlation between
+// the static score and the reference measurement's per-instruction SDC
 // probability, over the injectable sites the reference input actually
 // executed (sites never reached have no ground truth to rank against).
-// The sound masking/detection bounds feeding the score are validated
-// separately by the differential fact checker; this experiment
-// evaluates the heuristic remainder.
+// MINPSID itself ranks sites by fault injection; this experiment
+// measures what the FI-free ablation gives up.
 func StaticRank(r *Runner, benches []*benchprog.Benchmark, w io.Writer) error {
-	fmt.Fprintln(w, "Static-rank: propagation-graph score vs FI ground truth (Spearman rho)")
+	fmt.Fprintln(w, "Static-rank: flow-heuristic score vs FI ground truth (Spearman rho)")
 	tw := newTable(w)
 	fmt.Fprintln(tw, "Benchmark\tSites\tRho\tStaticZero\tFIZero")
 	var rhos []float64
@@ -30,7 +29,7 @@ func StaticRank(r *Runner, benches []*benchprog.Benchmark, w io.Writer) error {
 			return err
 		}
 		m := b.MustModule()
-		static := sid.StaticSDCProb(m)
+		static := sid.HeuristicSDCProb(m)
 		var xs, ys []float64
 		zeroS, zeroF := 0, 0
 		for id, in := range m.Instrs {

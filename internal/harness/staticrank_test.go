@@ -3,7 +3,7 @@ package harness
 // Golden test for the static-rank report. The evaluation cache is
 // seeded with a synthetic reference measurement over a real benchmark
 // module, so the report exercises the real static scorer
-// (sid.StaticSDCProb) against fixed ground truth with no fault
+// (sid.HeuristicSDCProb) against fixed ground truth with no fault
 // injection. Regenerate with:
 //
 //	go test ./internal/harness -run TestStaticRankGolden -update

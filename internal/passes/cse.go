@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/analysis"
 	"repro/internal/ir"
 )
 
@@ -61,7 +62,7 @@ func pureKey(in *ir.Instr) string {
 }
 
 func cseFunction(f *ir.Function) bool {
-	cfg := buildCFG(f)
+	dom := analysis.BuildDom(analysis.BuildCFG(f))
 	replace := map[int]ir.Operand{}
 	resolve := func(o ir.Operand) ir.Operand {
 		for o.Kind == ir.OperReg {
@@ -113,7 +114,7 @@ func cseFunction(f *ir.Function) bool {
 		}
 		b.Instrs = keep
 
-		for _, child := range cfg.children[bi] {
+		for _, child := range dom.Children[bi] {
 			walk(child)
 		}
 		for i := len(pushed) - 1; i >= 0; i-- {

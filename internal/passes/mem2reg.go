@@ -1,8 +1,10 @@
 package passes
 
 import (
+	"slices"
 	"sort"
 
+	"repro/internal/analysis"
 	"repro/internal/ir"
 )
 
@@ -28,156 +30,6 @@ func (Mem2Reg) Run(m *ir.Module) (bool, error) {
 	return changed, nil
 }
 
-// cfgInfo caches the per-function control-flow facts SSA construction
-// needs.
-type cfgInfo struct {
-	preds [][]int
-	succs [][]int
-	// rpo is a reverse postorder over reachable blocks; rpoIndex is the
-	// position of each block in it (-1 for unreachable blocks).
-	rpo      []int
-	rpoIndex []int
-	idom     []int   // immediate dominator per block (-1 if unreachable)
-	children [][]int // dominator-tree children
-	df       [][]int // dominance frontier per block
-}
-
-func buildCFG(f *ir.Function) *cfgInfo {
-	n := len(f.Blocks)
-	c := &cfgInfo{
-		preds:    make([][]int, n),
-		succs:    make([][]int, n),
-		rpoIndex: make([]int, n),
-		idom:     make([]int, n),
-		children: make([][]int, n),
-		df:       make([][]int, n),
-	}
-	for bi, b := range f.Blocks {
-		t := b.Terminator()
-		if t == nil {
-			continue
-		}
-		seen := map[int]bool{}
-		for _, s := range t.Succs {
-			if t.Op != ir.OpBr && t.Op != ir.OpCondBr {
-				continue
-			}
-			if !seen[s] {
-				seen[s] = true
-				c.succs[bi] = append(c.succs[bi], s)
-				c.preds[s] = append(c.preds[s], bi)
-			}
-		}
-	}
-
-	// Reverse postorder via iterative DFS.
-	visited := make([]bool, n)
-	var post []int
-	type stackEntry struct {
-		block int
-		next  int
-	}
-	stack := []stackEntry{{0, 0}}
-	visited[0] = true
-	for len(stack) > 0 {
-		top := &stack[len(stack)-1]
-		if top.next < len(c.succs[top.block]) {
-			s := c.succs[top.block][top.next]
-			top.next++
-			if !visited[s] {
-				visited[s] = true
-				stack = append(stack, stackEntry{s, 0})
-			}
-			continue
-		}
-		post = append(post, top.block)
-		stack = stack[:len(stack)-1]
-	}
-	for i := range c.rpoIndex {
-		c.rpoIndex[i] = -1
-	}
-	for i := len(post) - 1; i >= 0; i-- {
-		c.rpoIndex[post[i]] = len(c.rpo)
-		c.rpo = append(c.rpo, post[i])
-	}
-
-	// Dominators (Cooper-Harvey-Kennedy iterative algorithm).
-	for i := range c.idom {
-		c.idom[i] = -1
-	}
-	c.idom[0] = 0
-	for changed := true; changed; {
-		changed = false
-		for _, b := range c.rpo {
-			if b == 0 {
-				continue
-			}
-			newIdom := -1
-			for _, p := range c.preds[b] {
-				if c.idom[p] < 0 {
-					continue // predecessor not yet processed / unreachable
-				}
-				if newIdom < 0 {
-					newIdom = p
-				} else {
-					newIdom = c.intersect(p, newIdom)
-				}
-			}
-			if newIdom >= 0 && c.idom[b] != newIdom {
-				c.idom[b] = newIdom
-				changed = true
-			}
-		}
-	}
-	for _, b := range c.rpo {
-		if b != 0 && c.idom[b] >= 0 {
-			c.children[c.idom[b]] = append(c.children[c.idom[b]], b)
-		}
-	}
-
-	// Dominance frontiers.
-	for _, b := range c.rpo {
-		if len(c.preds[b]) < 2 {
-			continue
-		}
-		for _, p := range c.preds[b] {
-			if c.idom[p] < 0 {
-				continue
-			}
-			runner := p
-			for runner != c.idom[b] {
-				if !contains(c.df[runner], b) {
-					c.df[runner] = append(c.df[runner], b)
-				}
-				runner = c.idom[runner]
-			}
-		}
-	}
-	return c
-}
-
-// intersect walks two dominator-tree paths to their common ancestor.
-func (c *cfgInfo) intersect(a, b int) int {
-	for a != b {
-		for c.rpoIndex[a] > c.rpoIndex[b] {
-			a = c.idom[a]
-		}
-		for c.rpoIndex[b] > c.rpoIndex[a] {
-			b = c.idom[b]
-		}
-	}
-	return a
-}
-
-func contains(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 // promotedVar is one alloca chosen for promotion.
 type promotedVar struct {
 	allocaDst int     // the alloca's pointer register
@@ -192,7 +44,8 @@ func promoteFunction(f *ir.Function) bool {
 	if len(cands) == 0 {
 		return false
 	}
-	cfg := buildCFG(f)
+	cfg := analysis.BuildCFG(f)
+	dom := analysis.BuildDom(cfg)
 
 	// Place phis at iterated dominance frontiers of the store blocks.
 	vars := make([]*promotedVar, 0, len(cands))
@@ -212,7 +65,7 @@ func promoteFunction(f *ir.Function) bool {
 		for len(work) > 0 {
 			b := work[len(work)-1]
 			work = work[:len(work)-1]
-			for _, d := range cfg.df[b] {
+			for _, d := range dom.Frontier[b] {
 				if onFrontier[d] {
 					continue
 				}
@@ -263,11 +116,6 @@ func promoteFunction(f *ir.Function) bool {
 		return o
 	}
 
-	type frame struct {
-		block    int
-		childIdx int
-		pushed   map[*promotedVar]int // pop counts on exit
-	}
 	current := make(map[*promotedVar][]ir.Operand)
 	for _, pv := range vars {
 		// Allocas are zero-initialized; the undef value is typed zero.
@@ -312,8 +160,12 @@ func promoteFunction(f *ir.Function) bool {
 		}
 		b.Instrs = keep
 
-		// Fill phi incomings of CFG successors.
-		for _, s := range cfg.succs[bi] {
+		// Fill phi incomings of CFG successors. A condbr whose two
+		// targets coincide is one edge: its phis list bi once.
+		for si, s := range cfg.Succs[bi] {
+			if slices.Contains(cfg.Succs[bi][:si], s) {
+				continue
+			}
 			for _, in := range f.Blocks[s].Instrs {
 				if in.Op != ir.OpPhi {
 					break
@@ -327,7 +179,7 @@ func promoteFunction(f *ir.Function) bool {
 				in.Succs = append(in.Succs, bi)
 			}
 		}
-		for _, child := range cfg.children[bi] {
+		for _, child := range dom.Children[bi] {
 			rename(child)
 		}
 		for pv, n := range pops {

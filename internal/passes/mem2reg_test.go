@@ -256,3 +256,90 @@ func main(n int) {
 	emitf(total);
 }`, [][]uint64{{0}, {4}, {13}})
 }
+
+// TestMem2RegPhiOperandOrder pins the exact IR of two shapes no
+// benchmark exercises. The phi operand order follows the dominator-tree
+// walk, which visits children in reverse postorder: in (a) the join
+// block bb2 sits before the else block bb3 in index order, yet bb3
+// comes first in RPO, so its incoming value is listed first. In (b)
+// SimplifyCFG threads the empty if/else into `condbr -> bb1 bb1`, one
+// edge for the header's phis, so each lists the latch bb2 once. Both
+// results must pass the strict SSA verifier, which this package links.
+func TestMem2RegPhiOperandOrder(t *testing.T) {
+	cases := []struct {
+		name   string
+		passes []Pass
+		src    string
+		want   string
+	}{
+		{"join-before-else", []Pass{Mem2Reg{}}, `
+func main(x int) {
+	var v int = 0;
+	if (x > 0) {
+		v = x + 1;
+	} else {
+		v = x - 1;
+	}
+	emiti(v);
+}`, `module t.mc
+func @main(%r0:i64) void {
+bb0: ; entry
+  [   0] %r4:i1 = icmp gt %r0:i64, 0:i64
+  [   1] condbr %r4:i1 -> bb1 bb3
+bb1: ; if.then
+  [   2] %r6:i64 = add %r0:i64, 1:i64
+  [   3] br -> bb2
+bb2: ; if.end
+  [   4] %r10:i64 = phi %r8:i64, %r6:i64 -> bb3 bb1  ; mem2reg
+  [   5] callb @emiti %r10:i64
+  [   6] ret
+bb3: ; if.else
+  [   7] %r8:i64 = sub %r0:i64, 1:i64
+  [   8] br -> bb2
+}
+`},
+		{"repeated-successor", []Pass{SimplifyCFG{}, Mem2Reg{}}, `
+func main(n int) {
+	var s int = 0;
+	var i int = 0;
+	while (i < n) {
+		s = s + i;
+		i = i + 1;
+		if (s > 10) { } else { }
+	}
+	emiti(s);
+}`, `module t.mc
+func @main(%r0:i64) void {
+bb0: ; entry
+  [   0] br -> bb1
+bb1: ; while.cond
+  [   1] %r15:i64 = phi 0:i64, %r9:i64 -> bb0 bb2  ; mem2reg
+  [   2] %r16:i64 = phi 0:i64, %r11:i64 -> bb0 bb2  ; mem2reg
+  [   3] %r6:i1 = icmp lt %r16:i64, %r0:i64
+  [   4] condbr %r6:i1 -> bb2 bb3
+bb2: ; while.body
+  [   5] %r9:i64 = add %r15:i64, %r16:i64
+  [   6] %r11:i64 = add %r16:i64, 1:i64
+  [   7] %r13:i1 = icmp gt %r9:i64, 10:i64
+  [   8] condbr %r13:i1 -> bb1 bb1
+bb3: ; while.end
+  [   9] callb @emiti %r15:i64
+  [  10] ret
+}
+`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := compile(t, tc.src)
+			if err := RunPipeline(m, tc.passes...); err != nil {
+				t.Fatal(err)
+			}
+			if got := m.String(); got != tc.want {
+				t.Errorf("IR:\n%s\nwant:\n%s", got, tc.want)
+			}
+			if err := ir.VerifyStrict(m); err != nil {
+				t.Errorf("VerifyStrict: %v", err)
+			}
+		})
+	}
+}

@@ -420,26 +420,6 @@ func main(x int) {
 	}
 }
 
-// A module the analysis framework cannot certify (unoptimized, with a
-// register written twice) gets the flow heuristic's scores.
-func TestStaticSDCProbFallsBackToHeuristic(t *testing.T) {
-	m, err := minicc.Compile("k.mc", kernelSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := slices.IndexFunc(m.Instrs, func(in *ir.Instr) bool { return in.Op == ir.OpAdd })
-	loc := m.Loc(id)
-	b := m.Funcs[loc.Func].Blocks[loc.Block]
-	b.Instrs = slices.Insert(b.Instrs, loc.Pos+1, m.Instrs[id].Clone())
-	m.Finalize()
-	if analysis.FactsFor(m).SingleAssignment {
-		t.Fatal("module still in single-assignment form")
-	}
-	if got, want := StaticSDCProb(m), HeuristicSDCProb(m); !slices.Equal(got, want) {
-		t.Fatalf("non-SSA StaticSDCProb = %v, want HeuristicSDCProb %v", got, want)
-	}
-}
-
 func TestHeuristicMeasureSelectsAndProtects(t *testing.T) {
 	m, bind := buildKernel(t)
 	meas, err := HeuristicMeasure(m, bind, interp.Config{})
